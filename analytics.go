@@ -1,8 +1,9 @@
 package graph500
 
 import (
+	"fmt"
+
 	"repro/internal/core"
-	"repro/internal/framework"
 	"repro/internal/sssp"
 )
 
@@ -28,11 +29,7 @@ type SSSPRunner struct {
 // Graph 500 weight convention: deterministic uniform [0,1) per edge, keyed
 // by weightSeed.
 func NewSSSP(g Graph, cfg Config, weightSeed uint64) (*SSSPRunner, error) {
-	eng, err := core.NewEngine(g.NumVertices, g.Edges, core.Options{
-		Mesh:       cfg.Mesh,
-		Ranks:      cfg.Ranks,
-		Thresholds: cfg.Thresholds,
-	})
+	eng, err := core.NewEngine(g.NumVertices, g.Edges, cfg.coreOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -72,56 +69,76 @@ func (s *SSSPRunner) RunValidated(root int64) (*SSSPResult, error) {
 // runner's seed.
 func (s *SSSPRunner) EdgeWeight(u, v int64) float64 { return sssp.WeightOf(u, v, s.seed) }
 
-// Analytics runs dense vertex programs (PageRank, connected components) over
-// the 1.5D partitioning.
+// Analytics runs PageRank, connected components, k-core and reachability on
+// the core engine's workload driver: the same 1.5D schedule, hub delegation,
+// retries, checkpoints and trace spans as BFS and SSSP.
 type Analytics struct {
-	engine *framework.Engine
+	engine *core.Engine
 }
 
-// PageRankResult re-exports the framework's PageRank output.
-type PageRankResult = framework.PageRankResult
+// PageRankResult is a PageRank run's output (Rank, Iterations, Delta, Time
+// plus the engine's accounting).
+type PageRankResult = core.WorkloadResult
 
-// WCCResult re-exports the framework's connected-components output.
-type WCCResult = framework.WCCResult
+// WCCResult is a connected-components run's output (Label, Components,
+// Iterations, Time plus the engine's accounting).
+type WCCResult = core.WorkloadResult
 
-// NewAnalytics partitions the graph for vertex programs.
+// KCoreResult is a k-core run's output (InCore, CoreSize, Iterations, Time
+// plus the engine's accounting).
+type KCoreResult = core.WorkloadResult
+
+// NewAnalytics partitions the graph for the analytics workloads.
 func NewAnalytics(g Graph, cfg Config) (*Analytics, error) {
-	eng, err := framework.New(g.NumVertices, g.Edges, framework.Options{
-		Mesh:       cfg.Mesh,
-		Ranks:      cfg.Ranks,
-		Thresholds: cfg.Thresholds,
-	})
+	eng, err := core.NewEngine(g.NumVertices, g.Edges, cfg.coreOptions())
 	if err != nil {
 		return nil, err
 	}
 	return &Analytics{engine: eng}, nil
 }
 
-// PageRank runs damped power iteration to the given tolerance.
+// PageRank runs damped power iteration until the L1 change drops to tol or
+// maxIter rounds elapse.
 func (a *Analytics) PageRank(damping, tol float64, maxIter int) (*PageRankResult, error) {
-	return a.engine.PageRank(damping, tol, maxIter)
+	return a.engine.RunPageRank(damping, tol, maxIter)
 }
 
 // ConnectedComponents labels every vertex with its component's minimum ID.
+// Iterations counts the final zero-change round that proves convergence.
 func (a *Analytics) ConnectedComponents() (*WCCResult, error) {
-	return a.engine.ConnectedComponents()
+	return a.engine.RunWCC()
 }
 
-// Reachability runs bit-parallel multi-source BFS: result.Values[v] has bit
-// s set iff sources[s] reaches v. Up to 64 sources traverse simultaneously.
+// Reachability answers up to 64 reachability queries in one batched
+// multi-source BFS sweep: result[v] has bit s set iff sources[s] reaches v.
 func (a *Analytics) Reachability(sources []int64) ([]uint64, error) {
-	res, err := a.engine.Reachability(sources)
+	if len(sources) == 0 || len(sources) > 64 {
+		return nil, fmt.Errorf("graph500: Reachability needs 1..64 sources, got %d", len(sources))
+	}
+	n := a.engine.Part.Layout.N
+	for _, v := range sources {
+		if v < 0 || v >= n {
+			return nil, fmt.Errorf("graph500: source %d out of [0,%d)", v, n)
+		}
+	}
+	res, err := a.engine.RunBatch(sources)
 	if err != nil {
 		return nil, err
 	}
-	return res.Values, nil
+	masks := make([]uint64, n)
+	for s, q := range res.Queries {
+		for v, p := range q.Parent {
+			if p >= 0 {
+				masks[v] |= 1 << uint(s)
+			}
+		}
+	}
+	return masks, nil
 }
-
-// KCoreResult re-exports the framework's k-core output.
-type KCoreResult = framework.KCoreResult
 
 // KCore returns membership of the k-core (maximal subgraph of minimum
 // degree k), computed by distributed peeling with delegated hub degrees.
+// Iterations counts the final round that peels nothing.
 func (a *Analytics) KCore(k int64) (*KCoreResult, error) {
-	return a.engine.KCore(k)
+	return a.engine.RunKCore(k)
 }

@@ -3,6 +3,10 @@ package graph500
 import (
 	"math"
 	"testing"
+
+	"repro/internal/faultinject"
+	"repro/internal/graph"
+	"repro/internal/trace"
 )
 
 func TestSSSPPublicAPI(t *testing.T) {
@@ -170,6 +174,40 @@ func TestReachabilityPublicAPI(t *testing.T) {
 	}
 }
 
+// TestReachabilityMatchesBFS checks every source's bit of the batched sweep
+// against sequential BFS reachability.
+func TestReachabilityMatchesBFS(t *testing.T) {
+	g := Generate(GenConfig{Scale: 9, Seed: 83})
+	an, err := NewAnalytics(g, Config{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []int64{0, 7, 99, 500}
+	masks, err := an.Reachability(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg := graph.FromEdges(g.NumVertices, g.Edges, graph.BuildOptions{Symmetrize: true, DropSelfLoops: true})
+	for s, src := range sources {
+		parent := sg.SequentialBFS(src)
+		for v := int64(0); v < g.NumVertices; v++ {
+			want := parent[v] >= 0
+			if got := masks[v]&(1<<uint(s)) != 0; got != want {
+				t.Fatalf("source %d vertex %d: reachability %v, BFS says %v", src, v, got, want)
+			}
+		}
+	}
+}
+
+// TestAnalyticsRejectsMissingRanks: a Config with neither Mesh nor Ranks is
+// an error, not a silent default.
+func TestAnalyticsRejectsMissingRanks(t *testing.T) {
+	g := Generate(GenConfig{Scale: 6, Seed: 1})
+	if _, err := NewAnalytics(g, Config{}); err == nil {
+		t.Fatal("missing mesh/ranks accepted")
+	}
+}
+
 func TestKCorePublicAPI(t *testing.T) {
 	g := Generate(GenConfig{Scale: 9, Seed: 28})
 	an, err := NewAnalytics(g, Config{Ranks: 4})
@@ -186,5 +224,101 @@ func TestKCorePublicAPI(t *testing.T) {
 	}
 	if core8.CoreSize > core2.CoreSize {
 		t.Fatalf("8-core (%d) larger than 2-core (%d)", core8.CoreSize, core2.CoreSize)
+	}
+}
+
+func TestReachabilityValidatesInput(t *testing.T) {
+	g := Generate(GenConfig{Scale: 6, Seed: 85})
+	an, err := NewAnalytics(g, Config{Ranks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := an.Reachability(nil); err == nil {
+		t.Fatal("empty sources accepted")
+	}
+	if _, err := an.Reachability(make([]int64, 65)); err == nil {
+		t.Fatal("65 sources accepted")
+	}
+	if _, err := an.Reachability([]int64{-1}); err == nil {
+		t.Fatal("negative source accepted")
+	}
+	if _, err := an.Reachability([]int64{g.NumVertices}); err == nil {
+		t.Fatal("out-of-range source accepted")
+	}
+}
+
+func TestReachabilityAllSixtyFourSources(t *testing.T) {
+	g := Generate(GenConfig{Scale: 8, Seed: 84})
+	an, err := NewAnalytics(g, Config{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := make([]int64, 64)
+	for i := range sources {
+		sources[i] = int64(i * 3)
+	}
+	masks, err := an.Reachability(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, src := range sources {
+		if masks[src]&(1<<uint(s)) == 0 {
+			t.Fatalf("source %d does not reach itself", src)
+		}
+	}
+}
+
+// TestAnalyticsHonorsConfig: NewAnalytics takes the same Config→engine
+// conversion as New, so a Trace records the analytics workloads' spans and a
+// fault plan drives retries without changing a single rank bit.
+func TestAnalyticsHonorsConfig(t *testing.T) {
+	g := Generate(GenConfig{Scale: 8, Seed: 29})
+	clean, err := NewAnalytics(g, Config{Ranks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.PageRank(0.85, 0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := trace.New()
+	traced, err := NewAnalytics(g, Config{Ranks: 4, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traced.PageRank(0.85, 0, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traced.ConnectedComponents(); err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, sp := range tr.Spans() {
+		names[sp.Name] = true
+	}
+	for _, name := range []string{"rank_sync", "label_sync"} {
+		if !names[name] {
+			t.Errorf("trace has no %q span", name)
+		}
+	}
+
+	plan := faultinject.New(7)
+	plan.FailProb = 0.01
+	faulty, err := NewAnalytics(g, Config{Ranks: 4, Faults: plan, MaxRetries: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := faulty.PageRank(0.85, 0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Retries == 0 {
+		t.Fatal("fault plan forced no retry")
+	}
+	for v := range want.Rank {
+		if math.Float64bits(got.Rank[v]) != math.Float64bits(want.Rank[v]) {
+			t.Fatalf("rank[%d] = %v under faults, %v fault-free", v, got.Rank[v], want.Rank[v])
+		}
 	}
 }

@@ -210,9 +210,11 @@ type Result = core.Result
 // core.BatchResult).
 type BatchResult = core.BatchResult
 
-// New partitions the graph and prepares the rank world.
-func New(g Graph, cfg Config) (*Runner, error) {
-	opt := core.Options{
+// coreOptions is the one Config→core.Options conversion behind every facade
+// constructor (New, NewSSSP, NewAnalytics), so tracing, fault injection,
+// checkpointing and the socket backend apply to every workload alike.
+func (cfg Config) coreOptions() core.Options {
+	return core.Options{
 		Mesh:               cfg.Mesh,
 		Ranks:              cfg.Ranks,
 		Thresholds:         cfg.Thresholds,
@@ -235,7 +237,11 @@ func New(g Graph, cfg Config) (*Runner, error) {
 		Drain:              cfg.Drain,
 		Trace:              cfg.Trace,
 	}
-	eng, err := core.NewEngine(g.NumVertices, g.Edges, opt)
+}
+
+// New partitions the graph and prepares the rank world.
+func New(g Graph, cfg Config) (*Runner, error) {
+	eng, err := core.NewEngine(g.NumVertices, g.Edges, cfg.coreOptions())
 	if err != nil {
 		return nil, err
 	}

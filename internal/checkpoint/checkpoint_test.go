@@ -117,6 +117,45 @@ func TestWriterReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBurstCommitsNewestCapture fires non-mandatory captures far faster than
+// the writer commits them. Captures that arrive with both buffers in flight
+// supersede the queued one rather than being dropped, so once the writer
+// drains, the chain ends at the last captured iteration and replays to the
+// final state.
+func TestBurstCommitsNewestCapture(t *testing.T) {
+	_, sc := openScope(t)
+	w, err := NewWriter(sc, 0, hubWords, lWords, hubLen, lLen, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := NewState(hubWords, lWords, hubLen, lLen)
+	const last = 199
+	for it := int64(-1); it <= last; it++ {
+		if it >= 0 {
+			cur.ParentL[it%lLen] = it
+			cur.LVisited[it%lWords] |= 1 << uint(it%64)
+			cur.VisitL++
+		}
+		if !w.Checkpoint(it, it < 0, cur.HubFrontier, cur.HubVisited, cur.LFrontier, cur.LVisited,
+			cur.ParentHub, cur.ParentL, cur.ActiveL, cur.VisitL) {
+			t.Fatalf("capture of iteration %d dropped", it)
+		}
+	}
+	ws := w.Close()
+	if ws.Errors != 0 || ws.Segments+ws.Dropped != last+2 {
+		t.Fatalf("writer stats %+v: every capture must commit or be superseded", ws)
+	}
+	if it, ok := sc.LatestComplete(1); !ok || it != last {
+		t.Fatalf("LatestComplete = (%d, %v), want (%d, true)", it, ok, last)
+	}
+	got, _, err := sc.Replay(0, last, hubWords, lWords, hubLen, lLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur.Iter = last
+	sameState(t, got, cur)
+}
+
 func TestLatestCompleteIsIntersection(t *testing.T) {
 	_, sc := openScope(t)
 	writeChain(t, sc, 0, 6)

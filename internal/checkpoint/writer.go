@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/trace"
@@ -12,7 +13,7 @@ import (
 type WriterStats struct {
 	Segments int64 // delta segments committed
 	Bytes    int64 // bytes committed
-	Dropped  int64 // captures skipped because both buffers were in flight
+	Dropped  int64 // captures superseded or skipped while both buffers were in flight
 	Errors   int64 // segments that failed to encode or commit
 }
 
@@ -22,16 +23,23 @@ type WriterStats struct {
 // writer goroutine does everything expensive off the critical path: diffing
 // the capture against its shadow of the last committed state, gob-encoding
 // the sparse delta, and committing the CRC'd segment by atomic rename. When
-// both buffers are still in flight a non-mandatory capture is dropped rather
-// than blocking a kernel — the delta chain stays consistent because diffs
-// are always taken against the last *committed* state, so the next capture
-// simply carries the skipped iteration's changes too.
+// both buffers are in flight a new capture never blocks a kernel: it
+// overwrites the queued capture the writer has not started on, so the
+// pending segment is always the newest iteration and the chain ends at most
+// one commit behind the live state. The delta chain stays consistent because
+// diffs are always taken against the last *committed* state, so the newer
+// capture simply carries the superseded iteration's changes too.
 type Writer struct {
 	rank    int
 	rankDir string
-	free    chan *State
-	work    chan *State
 	done    chan struct{}
+
+	mu     sync.Mutex
+	cond   *sync.Cond // signalled when a capture is queued or a buffer frees
+	free   []*State   // capture buffers nobody holds
+	queue  []*State   // captures awaiting commit, oldest first
+	pinned *State     // queued must-capture; never superseded
+	closed bool
 
 	segments, bytes, dropped, errs atomic.Int64
 
@@ -55,14 +63,12 @@ func NewWriter(sc *RunScope, rank int, hubWords, lWords, hubLen, lLen int, resum
 	w := &Writer{
 		rank:    rank,
 		rankDir: rd,
-		free:    make(chan *State, 2),
-		work:    make(chan *State, 2),
 		done:    make(chan struct{}),
+		free:    []*State{NewState(hubWords, lWords, hubLen, lLen), NewState(hubWords, lWords, hubLen, lLen)},
 		shadow:  NewState(hubWords, lWords, hubLen, lLen),
 		tr:      tr,
 	}
-	w.free <- NewState(hubWords, lWords, hubLen, lLen)
-	w.free <- NewState(hubWords, lWords, hubLen, lLen)
+	w.cond = sync.NewCond(&w.mu)
 	if resume != nil {
 		if err := copyState(w.shadow, resume); err != nil {
 			return nil, err
@@ -89,23 +95,40 @@ func copyState(dst, src *State) error {
 }
 
 // Checkpoint captures the rank's state as of completing iteration iter and
-// queues it for committing. It returns false if the capture was dropped
-// (both buffers busy and must was false). must blocks for a buffer instead —
-// used for the bootstrap segment, without which a chain is worthless.
+// queues it for committing. With both buffers in flight a non-mandatory
+// capture takes over the queued one the writer has not started on (counting
+// that one as dropped), or, when the queued one is a mandatory capture, is
+// itself dropped and Checkpoint returns false. must blocks for a free buffer
+// instead, and its capture is never superseded — used for the bootstrap
+// segment, without which a chain is worthless, and for drain points.
 func (w *Writer) Checkpoint(iter int64, must bool,
 	hubFrontier, hubVisited, lFrontier, lVisited []uint64,
 	parentHub, parentL []int64, activeL, visitL int64) bool {
+	w.mu.Lock()
 	var buf *State
-	if must {
-		buf = <-w.free
-	} else {
-		select {
-		case buf = <-w.free:
-		default:
-			w.dropped.Add(1)
-			return false
+	switch {
+	case len(w.free) > 0:
+		buf = w.free[len(w.free)-1]
+		w.free = w.free[:len(w.free)-1]
+	case must:
+		for len(w.free) == 0 {
+			w.cond.Wait()
 		}
+		buf = w.free[len(w.free)-1]
+		w.free = w.free[:len(w.free)-1]
+	case len(w.queue) > 0 && w.queue[len(w.queue)-1] != w.pinned:
+		// The newest queued capture is older than this one and nothing
+		// queued after it, so replacing it in place keeps commit order.
+		buf = w.queue[len(w.queue)-1]
+		w.queue = w.queue[:len(w.queue)-1]
+		w.dropped.Add(1)
+	default:
+		w.dropped.Add(1)
+		w.mu.Unlock()
+		return false
 	}
+	w.mu.Unlock()
+
 	buf.Iter = iter
 	copy(buf.HubFrontier, hubFrontier)
 	copy(buf.HubVisited, hubVisited)
@@ -114,14 +137,24 @@ func (w *Writer) Checkpoint(iter int64, must bool,
 	copy(buf.ParentHub, parentHub)
 	copy(buf.ParentL, parentL)
 	buf.ActiveL, buf.VisitL = activeL, visitL
-	w.work <- buf
+
+	w.mu.Lock()
+	w.queue = append(w.queue, buf)
+	if must {
+		w.pinned = buf
+	}
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	return true
 }
 
 // Close drains pending captures, stops the writer goroutine and returns the
 // lifetime stats. The Writer must not be used afterwards.
 func (w *Writer) Close() WriterStats {
-	close(w.work)
+	w.mu.Lock()
+	w.closed = true
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	<-w.done
 	return WriterStats{
 		Segments: w.segments.Load(),
@@ -131,9 +164,28 @@ func (w *Writer) Close() WriterStats {
 	}
 }
 
+// next blocks for the oldest queued capture, taking it off the queue so no
+// later capture can supersede it; nil means the writer is closed and drained.
+func (w *Writer) next() *State {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.queue) == 0 && !w.closed {
+		w.cond.Wait()
+	}
+	if len(w.queue) == 0 {
+		return nil
+	}
+	buf := w.queue[0]
+	w.queue = w.queue[1:]
+	if buf == w.pinned {
+		w.pinned = nil
+	}
+	return buf
+}
+
 func (w *Writer) loop() {
 	defer close(w.done)
-	for buf := range w.work {
+	for buf := w.next(); buf != nil; buf = w.next() {
 		var t0 int64
 		if w.tr != nil {
 			t0 = w.tr.Now()
@@ -161,7 +213,10 @@ func (w *Writer) loop() {
 			}
 			w.tr.Emit(sp)
 		}
-		w.free <- buf
+		w.mu.Lock()
+		w.free = append(w.free, buf)
+		w.cond.Broadcast()
+		w.mu.Unlock()
 	}
 }
 

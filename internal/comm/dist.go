@@ -554,7 +554,7 @@ func (w *World) Fence() {
 
 // ExchangeOutcome is a process-level allgather of one epoch's verdict: every
 // process (rank-hosting or spare) announces the dead ranks its vote surfaced
-// and a small outcome code, and receives the union of dead ranks and the
+// and a small outcome code, and receives the agreed dead ranks and the
 // maximum code across live processes. It exists for the processes that host
 // no running ranks — spares waiting for adoption, and processes whose local
 // ranks all died — which never see the in-band membership vote yet must
@@ -568,6 +568,14 @@ func (w *World) Fence() {
 // Group.departed) — without it, survivors whose failure detectors fired on
 // different collectives deadlock, one side parked here and the other waiting
 // for a contribution the parked side will never send.
+//
+// Because a revoke surfaces as ErrRankDead, a straggler lists the ranks of
+// every process that left the epoch before it, alive or not. So each process
+// that announces is the authority on its own ranks: one of them is dead only
+// if its host's announcement says so (an injected kill, which the host's own
+// vote records). A rank whose host never announced — a dead process — is dead
+// if any announcement lists it. Every receiver sees the same announcements
+// and the same dead processes, so every receiver computes the same set.
 func (w *World) ExchangeOutcome(dead []int, code uint8) ([]int, uint8) {
 	if w.dist == nil {
 		return dead, code
@@ -590,10 +598,7 @@ func (w *World) ExchangeOutcome(dead []int, code uint8) ([]int, uint8) {
 			Comm: outcomeComm, Seq: seq, Rank: int32(me), Payload: payload,
 		})
 	}
-	deadSet := make(map[int]bool, len(dead))
-	for _, d := range dead {
-		deadSet[d] = true
-	}
+	claims := map[int][]int{me: dead} // announcing process -> its dead ranks
 	maxCode := code
 	key := arrKey{uint32(w.epoch), 0, outcomeComm, seq}
 	arrived := make([]bool, g.Procs())
@@ -609,9 +614,7 @@ func (w *World) ExchangeOutcome(dead []int, code uint8) ([]int, uint8) {
 			if ctr := arr.ctrs[p]; ctr != nil {
 				if rp, ok := ctr.payload.(remoteParts); ok && len(rp.parts) == 1 {
 					theirDead, theirCode := decodeOutcome(rp.parts[0])
-					for _, d := range theirDead {
-						deadSet[d] = true
-					}
+					claims[p] = theirDead
 					if theirCode > maxCode {
 						maxCode = theirCode
 					}
@@ -627,6 +630,17 @@ func (w *World) ExchangeOutcome(dead []int, code uint8) ([]int, uint8) {
 		if n == g.Procs() {
 			delete(g.arrivals, key)
 			g.mu.Unlock()
+			deadSet := make(map[int]bool)
+			for p, list := range claims {
+				for _, d := range list {
+					if d < 0 || d >= len(w.procOf) {
+						continue
+					}
+					if _, announced := claims[w.procOf[d]]; !announced || w.procOf[d] == p {
+						deadSet[d] = true
+					}
+				}
+			}
 			merged := make([]int, 0, len(deadSet))
 			for d := range deadSet {
 				merged = append(merged, d)

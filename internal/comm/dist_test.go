@@ -403,6 +403,62 @@ func TestDistOutcomeRevokesEpoch(t *testing.T) {
 	}
 }
 
+// TestDistOutcomeSparesRevokedProcess: a revoke makes a straggler's vote list
+// the ranks of every process that left the epoch before it, alive or not.
+// Process 2 dies; process 0 leaves the epoch with verdict dead=[2]; process 1,
+// still voting, sees rank 0 revoked and rank 2 dead and lists both. Process 0
+// is alive and did not list its own rank, so the agreed set is [2] on every
+// survivor: a live process is never evicted for having left first.
+func TestDistOutcomeSparesRevokedProcess(t *testing.T) {
+	mesh := topology.Mesh{Rows: 1, Cols: 3}
+	ws, gs := distWorlds(t, 3, mesh, nil)
+	gs[2].Abort()
+	var mu sync.Mutex
+	unions := make(map[int][]int)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		ws[0].Run(func(r *Rank) {})
+		time.Sleep(50 * time.Millisecond) // let the straggler block first
+		dead, _ := ws[0].ExchangeOutcome([]int{2}, 0)
+		mu.Lock()
+		unions[0] = dead
+		mu.Unlock()
+	}()
+	go func() {
+		defer wg.Done()
+		var observed []int
+		ws[1].Run(func(r *Rank) {
+			agg := ControlOrWords(r.World, make([]uint64, 2))
+			for i := 0; i < mesh.Size(); i++ {
+				if agg[1]&(1<<uint(i)) != 0 {
+					observed = append(observed, i)
+				}
+			}
+		})
+		if len(observed) != 2 || observed[0] != 0 || observed[1] != 2 {
+			t.Errorf("straggler vote saw dead ranks %v, want [0 2]", observed)
+		}
+		dead, _ := ws[1].ExchangeOutcome(observed, 0)
+		mu.Lock()
+		unions[1] = dead
+		mu.Unlock()
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("outcome exchange never completed")
+	}
+	for i := 0; i < 2; i++ {
+		if d := unions[i]; len(d) != 1 || d[0] != 2 {
+			t.Fatalf("proc %d: agreed dead ranks %v, want [2]", i, d)
+		}
+	}
+}
+
 // TestDistNextEpochRehomesDeadSlots kills a rank via fault injection on a
 // two-process world, has both processes vote and rebuild, and checks the
 // successor world re-homes the dead slot's goroutine onto its host's process

@@ -362,7 +362,9 @@ func (st *kcoreState) l2lDec() (int64, error) {
 // garbled partial merge is discarded by the step retry's snapshot restore.
 func (st *kcoreState) epilogue() error {
 	st.r.SetTag(TagEpilogue)
-	firstErr := syncHubSumInt64(&st.driver, st.hubDec, "deg_sync")
+	firstErr := syncHub(&st.driver, "deg_sync", st.k, func(c *comm.Comm) error {
+		return comm.AllreduceSumInt64Vec(c, st.hubDec)
+	})
 	for h := 0; h < st.k; h++ {
 		st.hubDeg[h] -= st.hubDec[h]
 		st.hubDec[h] = 0
@@ -399,10 +401,10 @@ func (st *kcoreState) finalize() error { return nil }
 
 func (st *kcoreState) snapshot(g int) {
 	s := &st.snaps[g]
-	snapInt64(&s.hubDeg, st.hubDeg)
-	snapInt64(&s.lDeg, st.lDeg)
-	snapInt64(&s.hubDec, st.hubDec)
-	snapInt64(&s.lDec, st.lDec)
+	snapSlice(&s.hubDeg, st.hubDeg)
+	snapSlice(&s.lDeg, st.lDeg)
+	snapSlice(&s.hubDec, st.hubDec)
+	snapSlice(&s.lDec, st.lDec)
 	snapWords(&s.hubRemoved, st.hubRemoved)
 	snapWords(&s.hubPeel, st.hubPeel)
 	snapWords(&s.lRemoved, st.lRemoved)

@@ -351,7 +351,10 @@ func (m *multiState) step0() error {
 // solo sync contribute all-zero words and a no-op fold, so the shared
 // collective cannot perturb them.
 func (m *multiState) syncHubsAll() error {
-	err := syncHubWords(&m.driver, m.hubPl[hubNIdx].Words(), "hub_sync")
+	words := m.hubPl[hubNIdx].Words()
+	err := syncHub(&m.driver, "hub_sync", len(words), func(c *comm.Comm) error {
+		return comm.AllreduceOr(c, words)
+	})
 	for _, p := range m.planes {
 		p.hubNew.AndNot(p.hubVisited)
 		p.hubIter.Or(p.hubNew)

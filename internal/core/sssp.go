@@ -2,15 +2,12 @@ package core
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/bitmap"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/partition"
 	"repro/internal/sssp"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // ssspState is delta-bucketed single-source shortest path on the engine's
@@ -74,14 +71,6 @@ type ssspSnapshot struct {
 	hubParent, lParent []int64
 	hubDirty, lDirty   []uint64
 	relaxations        int64
-}
-
-func snapFloat64(dst *[]float64, src []float64) {
-	if cap(*dst) < len(src) {
-		*dst = make([]float64, len(src))
-	}
-	*dst = (*dst)[:len(src)]
-	copy(*dst, src)
 }
 
 func newSSSPState(e *Engine, r *comm.Rank, root int64, seed uint64, delta float64) *ssspState {
@@ -326,10 +315,10 @@ func (st *ssspState) finalize() error { return nil }
 
 func (st *ssspState) snapshot(g int) {
 	s := &st.snaps[g]
-	snapFloat64(&s.hubDist, st.hubDist)
-	snapFloat64(&s.lDist, st.lDist)
-	snapInt64(&s.hubParent, st.hubParent)
-	snapInt64(&s.lParent, st.lParent)
+	snapSlice(&s.hubDist, st.hubDist)
+	snapSlice(&s.lDist, st.lDist)
+	snapSlice(&s.hubParent, st.hubParent)
+	snapSlice(&s.lParent, st.lParent)
 	snapWords(&s.hubDirty, st.hubDirty)
 	snapWords(&s.lDirty, st.lDirty)
 	s.relaxations = st.relaxations
@@ -366,36 +355,9 @@ func (st *ssspState) lowerL(li int32, nd float64, parent int64) {
 // syncDists min-merges the replicated hub (distance, parent) pairs
 // column-then-row with a deterministic fold (smaller distance wins; equal
 // distance takes the larger parent), the SSSP analogue of the hub-bitmap
-// sync. Both collectives always run.
+// sync.
 func (st *ssspState) syncDists() error {
-	d := &st.driver
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if st.k > 0 {
-		err = st.syncDistsOver(d.r.ColC)
-		if e2 := st.syncDistsOver(d.r.RowC); err == nil {
-			err = e2
-		}
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: "dist_sync", Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
+	return syncHub(&st.driver, "dist_sync", st.k, st.syncDistsOver)
 }
 
 func (st *ssspState) syncDistsOver(c *comm.Comm) error {

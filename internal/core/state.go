@@ -343,7 +343,10 @@ func (st *rankState) runStep(g int, dirs [partition.NumComponents]stats.Directio
 // pattern (E and H state moves only on column and row links), after which
 // hubNew's contents are globally agreed and folded into visited state.
 func (st *rankState) syncHubs() error {
-	err := syncHubWords(&st.driver, st.hubNew.Words(), "hub_sync")
+	words := st.hubNew.Words()
+	err := syncHub(&st.driver, "hub_sync", len(words), func(c *comm.Comm) error {
+		return comm.AllreduceOr(c, words)
+	})
 	// hubNew now holds the union of all ranks' new activations (it may
 	// include hubs another rank also activated; visited filtering below is
 	// idempotent).

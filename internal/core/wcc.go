@@ -192,8 +192,7 @@ func (st *wccState) epilogue() error {
 }
 
 // endIter swaps the staged dirty sets in; convergence is the zero-change
-// round, which counts toward Iterations — the same semantics as the generic
-// framework RunProgram.
+// round, which counts toward Iterations like every other driver workload.
 func (st *wccState) endIter(it *IterTrace) bool {
 	st.hubDirty.CopyFrom(st.hubNext)
 	st.hubNext.Reset()
@@ -209,8 +208,8 @@ func (st *wccState) finalize() error { return nil }
 
 func (st *wccState) snapshot(g int) {
 	s := &st.snaps[g]
-	snapInt64(&s.hubLabel, st.hubLabel)
-	snapInt64(&s.lLabel, st.lLabel)
+	snapSlice(&s.hubLabel, st.hubLabel)
+	snapSlice(&s.lLabel, st.lLabel)
 	snapWords(&s.hubNext, st.hubNext)
 	snapWords(&s.lNext, st.lNext)
 }
@@ -237,9 +236,22 @@ func (st *wccState) lowerL(li int32, lbl int64) {
 }
 
 // syncLabels min-merges the replicated hub labels column-then-row, the
-// label-carrying analogue of the BFS hub-bitmap sync.
+// label-carrying analogue of the BFS hub-bitmap sync, as a max-reduce of the
+// negated labels. A failed merge leaves negated-back garbage that the step
+// retry's snapshot restore discards.
 func (st *wccState) syncLabels() error {
-	return syncHubMinInt64(&st.driver, st.hubLabel, "label_sync")
+	negate(st.hubLabel)
+	err := syncHub(&st.driver, "label_sync", st.k, func(c *comm.Comm) error {
+		return comm.AllreduceMaxInt64(c, st.hubLabel)
+	})
+	negate(st.hubLabel)
+	return err
+}
+
+func negate(vals []int64) {
+	for i := range vals {
+		vals[i] = -vals[i]
+	}
 }
 
 // ehProp: dirty source hubs lower their destination hubs' replicated labels

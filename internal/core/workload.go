@@ -164,57 +164,52 @@ func firstErr(errs []error) error {
 // the delayed-reduction collective (BFS parents, and any workload-final
 // replicated fold), observed as PhaseReduce.
 func reduceMaxParents(d *driver, vals []int64) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if len(vals) > 0 {
-		err = comm.AllreduceMaxInt64(d.r.World, vals)
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseReduce, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindReduce, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: "reduce_parents", Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
+	return d.observeCollective(trace.KindReduce, stats.PhaseReduce, "reduce_parents", func() error {
+		if len(vals) == 0 {
+			return nil
 		}
-		d.tr.Emit(sp)
-	}
-	return err
+		return comm.AllreduceMaxInt64(d.r.World, vals)
+	})
 }
 
-// syncHubWords merges replicated hub words globally: allreduce-OR down the
-// column then across the row reproduces the paper's delegation traffic
-// pattern (E and H state moves only on column and row links). Both
-// allreduces always run — even after the column one fails — so the row
-// communicator's collective schedule matches on every rank. Observed as
+// syncHub merges a replicated hub array of n entries with the paper's
+// delegation traffic pattern: reduce down the column, then across the row, so
+// E and H state moves only on column and row links and the two-stage
+// reduction over the mesh equals the world reduction. reduce runs one
+// communicator's in-place collective (OR for BFS activations, min for WCC
+// labels and SSSP distances, sum for k-core decrements and PageRank partials).
+// Both stages always run — even after the column one fails — so the row
+// communicator's collective schedule matches on every rank; a failed merge
+// leaves garbage the step retry's snapshot restore discards. Observed as
 // PhaseOther under the given span name.
-func syncHubWords(d *driver, words []uint64, name string) error {
+func syncHub(d *driver, name string, n int, reduce func(c *comm.Comm) error) error {
+	return d.observeCollective(trace.KindSync, stats.PhaseOther, name, func() error {
+		if n == 0 {
+			return nil
+		}
+		err := reduce(d.r.ColC)
+		if e2 := reduce(d.r.RowC); err == nil {
+			err = e2
+		}
+		return err
+	})
+}
+
+// observeCollective times a collective-only phase (no edge touches),
+// attributes its traffic delta to phase and emits one span of the given kind.
+func (d *driver) observeCollective(kind trace.Kind, phase stats.Phase, name string, fn func() error) error {
 	t0 := time.Now()
 	var s0 int64
 	if d.tr != nil {
 		s0 = d.tr.Now()
 	}
 	base := d.r.Stats
-	var err error
-	if len(words) > 0 {
-		err = comm.AllreduceOr(d.r.ColC, words)
-		if e2 := comm.AllreduceOr(d.r.RowC, words); err == nil {
-			err = e2
-		}
-	}
+	err := fn()
 	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
+	d.rec.Observe(phase, stats.DirNone, time.Since(t0), delta, 0)
 	if d.tr != nil {
 		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
+		sp := trace.Span{Kind: kind, Epoch: d.r.Epoch(),
 			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
 			Name: name, Start: s0, Dur: d.tr.Now() - s0,
 			IntraBytes: intra, InterBytes: inter}
@@ -226,89 +221,14 @@ func syncHubWords(d *driver, words []uint64, name string) error {
 	return err
 }
 
-// snapInt64 copies src into a reusable snapshot buffer, mirroring snapWords
-// for the workloads' value arrays (labels, degrees, packed distances).
-func snapInt64(dst *[]int64, src []int64) {
+// snapSlice copies src into a reusable snapshot buffer, mirroring snapWords
+// for the workloads' value arrays (labels, degrees, distances, ranks).
+func snapSlice[T any](dst *[]T, src []T) {
 	if cap(*dst) < len(src) {
-		*dst = make([]int64, len(src))
+		*dst = make([]T, len(src))
 	}
 	*dst = (*dst)[:len(src)]
 	copy(*dst, src)
-}
-
-// syncHubMinInt64 min-reduces a replicated int64 array with the delegation
-// traffic pattern (column then row), via negated max-allreduces. Both
-// collectives always run so every rank keeps the same per-communicator
-// schedule under faults; a failed merge leaves locally negated-back values
-// whose garbage the step retry's snapshot restore discards.
-func syncHubMinInt64(d *driver, vals []int64, name string) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if len(vals) > 0 {
-		for i := range vals {
-			vals[i] = -vals[i]
-		}
-		err = comm.AllreduceMaxInt64(d.r.ColC, vals)
-		if e2 := comm.AllreduceMaxInt64(d.r.RowC, vals); err == nil {
-			err = e2
-		}
-		for i := range vals {
-			vals[i] = -vals[i]
-		}
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: name, Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
-}
-
-// syncHubSumInt64 sum-reduces replicated per-hub partials (k-core's degree
-// decrements) column-then-row: the two-stage sum over the mesh equals the
-// world sum, in the delegation traffic pattern. Same always-both-collectives
-// discipline as the other hub syncs.
-func syncHubSumInt64(d *driver, vals []int64, name string) error {
-	t0 := time.Now()
-	var s0 int64
-	if d.tr != nil {
-		s0 = d.tr.Now()
-	}
-	base := d.r.Stats
-	var err error
-	if len(vals) > 0 {
-		err = comm.AllreduceSumInt64Vec(d.r.ColC, vals)
-		if e2 := comm.AllreduceSumInt64Vec(d.r.RowC, vals); err == nil {
-			err = e2
-		}
-	}
-	delta := d.r.Stats.Delta(&base)
-	d.rec.Observe(stats.PhaseOther, stats.DirNone, time.Since(t0), delta, 0)
-	if d.tr != nil {
-		intra, inter := delta.Totals()
-		sp := trace.Span{Kind: trace.KindSync, Epoch: d.r.Epoch(),
-			Iter: d.curIter, Step: d.curStep, Attempt: d.curAttempt,
-			Name: name, Start: s0, Dur: d.tr.Now() - s0,
-			IntraBytes: intra, InterBytes: inter}
-		if err != nil {
-			sp.Err = 1
-		}
-		d.tr.Emit(sp)
-	}
-	return err
 }
 
 // vote is the retry-boundary agreement over the reliable control plane.
@@ -477,7 +397,8 @@ func (d *driver) loadCheckpoint(wl workload) error {
 // capture queues the state as of completing iteration iter to the async
 // checkpoint writer; the synchronous cost is one memcpy into a capture
 // buffer. must forces it through (the bootstrap segment, without which the
-// chain is useless) instead of dropping when both buffers are in flight.
+// chain is useless) and keeps a later capture from superseding it while both
+// buffers are in flight.
 func (d *driver) capture(wl workload, iter int64, must bool) {
 	var s0 int64
 	if d.tr != nil {

@@ -11,15 +11,13 @@ import (
 	"repro/internal/rmat"
 	"repro/internal/sssp"
 	"repro/internal/topology"
-
-	"repro/internal/framework"
 )
 
 // --- Per-workload differential corpora ------------------------------------
 //
-// Each ported workload (WCC, k-core, SSSP) runs the shared case table below
-// against an independent reference: the framework's vertex programs for WCC
-// and k-core, the sequential Dijkstra for SSSP. The table spans both degree
+// Each analytics workload (WCC, k-core, SSSP, PageRank) runs the shared case
+// table below against an independent sequential reference (reference_test.go
+// and sssp.Dijkstra). The table spans both degree
 // profiles (R-MAT hubs vs uniform), tail-heavy topologies (grids, combs,
 // paths, stringy trees) that force the sparse exchange, several mesh shapes,
 // and low-threshold classifications that push spines into H. More than a
@@ -118,27 +116,20 @@ func TestDifferentialWCC(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunWCC: %v", err)
 			}
-			fw, err := framework.New(n, edges, framework.Options{Mesh: tc.mesh})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := fw.ConnectedComponents()
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := unionFind(n, edges)
 			for v := int64(0); v < n; v++ {
-				if res.Label[v] != ref.Label[v] {
-					t.Fatalf("label[%d] = %d, reference %d", v, res.Label[v], ref.Label[v])
+				if res.Label[v] != ref[v] {
+					t.Fatalf("label[%d] = %d, reference %d", v, res.Label[v], ref[v])
 				}
 			}
-			if res.Components != ref.Components {
-				t.Fatalf("components = %d, reference %d", res.Components, ref.Components)
+			if want := componentCount(n, edges, ref); res.Components != want {
+				t.Fatalf("components = %d, reference %d", res.Components, want)
 			}
-			// Both loops count the final zero-change round that proves
-			// convergence (the accounting the retired hand-rolled framework
-			// WCC drifted from), so the counts must agree exactly.
-			if res.Iterations != ref.Iterations {
-				t.Fatalf("iterations = %d, reference %d", res.Iterations, ref.Iterations)
+			// Labels propagate synchronously (every kernel reads the
+			// iteration's base labels), and the final zero-change round that
+			// proves convergence counts, so the round count is exact.
+			if want := minLabelRounds(n, edges); res.Iterations != want {
+				t.Fatalf("iterations = %d, reference %d", res.Iterations, want)
 			}
 			if !tc.sparseBoth {
 				return
@@ -187,21 +178,18 @@ func TestDifferentialKCore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunKCore: %v", err)
 			}
-			fw, err := framework.New(n, edges, framework.Options{Mesh: tc.mesh})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := fw.KCore(k)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
+			ref := sequentialKCore(n, edges, k)
+			var size int64
 			for v := int64(0); v < n; v++ {
-				if res.InCore[v] != ref.InCore[v] {
-					t.Fatalf("inCore[%d] = %v, reference %v", v, res.InCore[v], ref.InCore[v])
+				if res.InCore[v] != ref[v] {
+					t.Fatalf("inCore[%d] = %v, reference %v", v, res.InCore[v], ref[v])
+				}
+				if ref[v] {
+					size++
 				}
 			}
-			if res.CoreSize != ref.CoreSize {
-				t.Fatalf("coreSize = %d, reference %d", res.CoreSize, ref.CoreSize)
+			if res.CoreSize != size {
+				t.Fatalf("coreSize = %d, reference %d", res.CoreSize, size)
 			}
 			if !tc.sparseBoth {
 				return
@@ -310,6 +298,58 @@ func TestDifferentialSSSP(t *testing.T) {
 	}
 }
 
+// TestDifferentialPageRank runs a fixed number of PageRank rounds (tol 0) and
+// demands every rank within 1e-12 of the sequential power iteration. Faulted
+// cases must additionally be bit-identical to a fault-free run on the same
+// partition: retries restore the step snapshot and re-execute the same
+// member-ordered sums.
+func TestDifferentialPageRank(t *testing.T) {
+	const rounds = 30
+	for i, tc := range workloadDiffCases {
+		i, tc := i, tc
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && i%4 != 0 {
+				t.Skip("subset in -short mode")
+			}
+			t.Parallel()
+			seed := uint64(6000 + i)
+			n, edges := tc.build(seed)
+			eng, err := NewEngine(n, edges, tc.options(SparseAuto, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.RunPageRank(0.85, 0, rounds)
+			if err != nil {
+				t.Fatalf("RunPageRank: %v", err)
+			}
+			if res.Iterations != rounds {
+				t.Fatalf("iterations = %d, want %d", res.Iterations, rounds)
+			}
+			ref := sequentialPageRank(n, edges, 0.85, rounds)
+			for v := int64(0); v < n; v++ {
+				if math.Abs(res.Rank[v]-ref[v]) > 1e-12 {
+					t.Fatalf("rank[%d] = %.15g, reference %.15g", v, res.Rank[v], ref[v])
+				}
+			}
+			if !tc.faulty {
+				return
+			}
+			if res.Faults.Injected() == 0 {
+				t.Fatal("fault plan injected nothing")
+			}
+			clean, err := NewEngineFromPartition(eng.Part, Options{Mesh: tc.mesh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cres, err := clean.RunPageRank(0.85, 0, rounds)
+			if err != nil {
+				t.Fatalf("fault-free RunPageRank: %v", err)
+			}
+			compareWorkloadResults(t, "faulted vs fault-free", res, cres)
+		})
+	}
+}
+
 // TestWorkloadArgumentValidation pins the entry-point error contracts.
 func TestWorkloadArgumentValidation(t *testing.T) {
 	n, edges := gridEdges(8, 8)
@@ -325,5 +365,10 @@ func TestWorkloadArgumentValidation(t *testing.T) {
 	}
 	if _, err := eng.RunSSSP(n, 1, 0); err == nil {
 		t.Fatal("out-of-range root accepted")
+	}
+	for _, d := range []float64{0, 1, -0.5, math.NaN()} {
+		if _, err := eng.RunPageRank(d, 1e-6, 10); err == nil {
+			t.Fatalf("damping %g accepted", d)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 	"repro/internal/topology"
 )
 
-// runNamedWorkload dispatches one of the ported workloads by name with fixed
-// per-workload parameters (k=2 cores, weight seed 9, default delta) so the
+// runNamedWorkload dispatches one of the analytics workloads by name with
+// fixed per-workload parameters (k=2 cores, weight seed 9, default delta, 30
+// PageRank rounds) so the
 // fault tests can sweep workloads uniformly.
 func runNamedWorkload(eng *Engine, wl string, root int64) (*WorkloadResult, error) {
 	switch wl {
@@ -23,6 +25,8 @@ func runNamedWorkload(eng *Engine, wl string, root int64) (*WorkloadResult, erro
 		return eng.RunKCore(2)
 	case "sssp":
 		return eng.RunSSSP(root, 9, 0)
+	case "pagerank":
+		return eng.RunPageRank(0.85, 0, 30)
 	}
 	panic("unknown workload " + wl)
 }
@@ -47,6 +51,16 @@ func compareWorkloadResults(t *testing.T, label string, got, want *WorkloadResul
 			if got.InCore[v] != want.InCore[v] {
 				t.Fatalf("%s: inCore[%d] = %v, fault-free %v", label, v, got.InCore[v], want.InCore[v])
 			}
+		}
+	case "pagerank":
+		for v := range want.Rank {
+			if math.Float64bits(got.Rank[v]) != math.Float64bits(want.Rank[v]) {
+				t.Fatalf("%s: rank[%d] = %v, fault-free %v", label, v, got.Rank[v], want.Rank[v])
+			}
+		}
+		if got.Iterations != want.Iterations || got.Delta != want.Delta {
+			t.Fatalf("%s: %d rounds (delta %g), fault-free %d (delta %g)",
+				label, got.Iterations, got.Delta, want.Iterations, want.Delta)
 		}
 	case "sssp":
 		for v := range want.Dist {
@@ -103,7 +117,7 @@ func TestWorkloadChaosMatrix(t *testing.T) {
 			p.StallLen = 3
 		}},
 	}
-	workloads := []string{"wcc", "kcore", "sssp"}
+	workloads := []string{"wcc", "kcore", "sssp", "pagerank"}
 	for mi, mesh := range meshes {
 		mesh := mesh
 		base := Options{Mesh: mesh, Thresholds: partition.Thresholds{E: 64, H: 8}}

@@ -9,8 +9,8 @@ import (
 	"repro/internal/stats"
 )
 
-// WorkloadResult is the shared result envelope of the ported analytics
-// workloads (RunWCC, RunKCore, RunSSSP). Workload names the kernel; only the
+// WorkloadResult is the shared result envelope of the analytics workloads
+// (RunWCC, RunKCore, RunSSSP, RunPageRank). Workload names the kernel; only the
 // fields of that workload's section are populated. The accounting fields
 // mirror Result: the ported workloads run the same driver loop as BFS, so
 // recorder breakdowns, fault/retry counters and fail-stop recovery state all
@@ -19,8 +19,7 @@ type WorkloadResult struct {
 	Workload string
 
 	// WCC: Label[v] is the smallest original vertex ID in v's component;
-	// Components counts distinct labels among vertices with nonzero degree
-	// (matching framework.ConnectedComponents).
+	// Components counts distinct labels among vertices with nonzero degree.
 	Label      []int64
 	Components int64
 
@@ -39,6 +38,11 @@ type WorkloadResult struct {
 	Dist        []float64
 	Parent      []int64
 	Relaxations int64
+
+	// PageRank: Rank[v] is v's PageRank (the ranks sum to 1); Delta is the
+	// final round's global L1 change.
+	Rank  []float64
+	Delta float64
 
 	Iterations      int
 	Time            time.Duration

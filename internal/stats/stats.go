@@ -150,8 +150,9 @@ type RecoveryStats struct {
 	// state, as observed by the engine (not summed across ranks).
 	RecoveryTime time.Duration
 	// Checkpoint-writer accounting, summed across ranks: committed segments
-	// and bytes, captures dropped because both buffers were in flight, and
-	// segments that failed to commit.
+	// and bytes, captures that never committed because a newer capture
+	// superseded them while both buffers were in flight, and segments that
+	// failed to commit.
 	CheckpointSegments int64
 	CheckpointBytes    int64
 	CheckpointDropped  int64
