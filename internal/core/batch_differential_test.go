@@ -47,8 +47,9 @@ func distinctConnectedRoots(eng *Engine, k int) []int64 {
 // spanning both generators plus tail-heavy meshes, all direction modes,
 // sparse modes, hierarchical forwarding and (for a third of the corpus) an
 // active fault plan, a batch of K roots must produce per query exactly the
-// parent array of K independent solo runs — bit-for-bit — plus matching
-// iteration counts, matching levels, and Graph 500 validation.
+// parent array of K independent single-root runs (batches of one) —
+// bit-for-bit — plus matching iteration counts, matching levels, and Graph
+// 500 validation.
 func TestBatchVsSoloDifferential(t *testing.T) {
 	meshes := []topology.Mesh{
 		{Rows: 1, Cols: 4}, {Rows: 2, Cols: 2}, {Rows: 4, Cols: 1},
@@ -263,38 +264,17 @@ func TestRunBatchRejectsBadInput(t *testing.T) {
 	if _, err := adaptive.RunBatch([]int64{0, 1}); err == nil {
 		t.Fatal("SegmentAdaptive batch accepted")
 	}
-}
-
-// TestBatchSingleQueryMatchesSolo pins the degenerate batch: a batch of one
-// root is exactly a solo run.
-func TestBatchSingleQueryMatchesSolo(t *testing.T) {
-	n, edges := combEdges(32, 6)
-	eng, err := NewEngine(n, edges, Options{
-		Mesh:       topology.Mesh{Rows: 2, Cols: 2},
-		Thresholds: partition.Thresholds{E: 64, H: 3},
-	})
+	// A batch of one is what Engine.Run executes, so SegmentAdaptive must
+	// accept it; with a single query every live iteration holds exactly it.
+	root := firstConnectedRootOf(adaptive)
+	one, err := adaptive.RunBatch([]int64{root})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("SegmentAdaptive batch of one rejected: %v", err)
 	}
-	root := firstConnectedRootOf(eng)
-	solo, err := eng.Run(root)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := validate.BFS(n, edges, root, one.Queries[0].Parent); err != nil {
+		t.Fatalf("SegmentAdaptive batch of one: validation: %v", err)
 	}
-	batch, err := eng.RunBatch([]int64{root})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := batch.Queries[0]
-	for v := int64(0); v < n; v++ {
-		if q.Parent[v] != solo.Parent[v] {
-			t.Fatalf("parent[%d] = %d, solo %d", v, q.Parent[v], solo.Parent[v])
-		}
-	}
-	if q.Iterations != solo.Iterations {
-		t.Fatalf("iterations %d, solo %d", q.Iterations, solo.Iterations)
-	}
-	if batch.AvgOccupancy != 1 {
-		t.Fatalf("single-query occupancy %v, want 1", batch.AvgOccupancy)
+	if one.AvgOccupancy != 1 {
+		t.Fatalf("single-query occupancy %v, want 1", one.AvgOccupancy)
 	}
 }

@@ -8,9 +8,9 @@ import (
 
 // chooseDirections implements sub-iteration direction optimization
 // (Section 4.2) plus the tail-iteration representation switch: it fills
-// it.Directions and it.Sparse and latches both into the rank state for the
-// iteration (retries of a failed iteration keep the same choices, so the
-// collective schedule is stable across attempts). Every input is globally
+// it.Directions and it.Sparse, which the batch keeps for the whole iteration
+// (retries of a failed iteration keep the same choices, so the collective
+// schedule is stable across attempts). Every input is globally
 // consistent across ranks — hub bitmaps are replicated, L counts are
 // allreduced, and the byte feedback is the previous epilogue's global sum —
 // so all ranks compute identical choices and stay in collective lockstep.
@@ -27,8 +27,6 @@ func (st *rankState) chooseDirections(it *IterTrace) {
 	}
 	it.Directions = st.pickDirections(*it)
 	it.Sparse = st.pickSparse(*it, it.Directions)
-	st.sparse = it.Sparse
-	st.batchRow = it.Sparse[partition.CompH2L] && it.Sparse[partition.CompL2H]
 	if st.tr != nil {
 		// One decision record per iteration: the globally consistent inputs
 		// the choice derives from, and the per-component outcome (the

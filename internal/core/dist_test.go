@@ -137,9 +137,9 @@ func TestDistBFSMatchesInProcess(t *testing.T) {
 }
 
 // TestDistWorkloadDifferential runs the per-workload differential corpus over
-// both backends: WCC, k-core and SSSP on an in-process world vs the same
-// mesh split across a two-process socket world, bit-identical outputs
-// required on every process.
+// both backends: WCC, k-core, SSSP, PageRank and a 3-root BFS batch on an
+// in-process world vs the same mesh split across a two-process socket world,
+// bit-identical outputs required on every process.
 func TestDistWorkloadDifferential(t *testing.T) {
 	for _, seed := range []uint64{3, 17} {
 		cfg := rmat.Config{Scale: 8, Seed: seed}
@@ -215,6 +215,33 @@ func TestDistWorkloadDifferential(t *testing.T) {
 				}
 				if res.Delta != want.Delta {
 					t.Errorf("proc %d: delta %g, want %g", proc, res.Delta, want.Delta)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("batch/seed%d", seed), func(t *testing.T) {
+			roots := distinctConnectedRoots(ref, 3)
+			if len(roots) != 3 {
+				t.Fatalf("wanted 3 roots, got %v", roots)
+			}
+			want, err := ref.RunBatch(roots)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runDistEngines(t, n, edges, distCoreOpts(t, 2, base),
+				func(e *Engine) (*BatchResult, error) { return e.RunBatch(roots) })
+			for proc, res := range got {
+				if res.Iterations != want.Iterations {
+					t.Errorf("proc %d: %d sweep iterations, want %d", proc, res.Iterations, want.Iterations)
+				}
+				for qi, q := range res.Queries {
+					w := want.Queries[qi]
+					if !slices.Equal(q.Parent, w.Parent) {
+						t.Errorf("proc %d root %d: parents differ from in-process", proc, q.Root)
+					}
+					if q.Iterations != w.Iterations || q.TraversedEdges != w.TraversedEdges {
+						t.Errorf("proc %d root %d: %d iterations / %d edges, want %d / %d", proc, q.Root,
+							q.Iterations, q.TraversedEdges, w.Iterations, w.TraversedEdges)
+					}
 				}
 			}
 		})

@@ -81,7 +81,8 @@ type Options struct {
 	// trace. Implies building the segmented adjacency (Segments controls the
 	// count); overrides Segmented. Off by default: the two pull variants may
 	// discover different (equally valid) BFS parents, so timing-driven
-	// switching makes repeated runs nondeterministic.
+	// switching makes repeated runs nondeterministic — and RunBatch accepts
+	// only a single root under it.
 	SegmentAdaptive bool
 	// RankWorkers is intra-rank kernel parallelism; the EH2EH push uses
 	// edge-aware vertex-cut chunking across these workers. 0 means 1.
@@ -829,10 +830,11 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 	return rc, nil
 }
 
-// Run executes one BFS from root and assembles the global result. Under a
-// fault transport the run may fail even after retries; the Result is still
-// returned alongside the error so callers can inspect the fault and retry
-// accounting of the doomed run.
+// Run executes one BFS from root and assembles the global result: a batch of
+// one (RunBatch), with the batch's per-rank breakdowns and iteration trace.
+// Under a fault transport the run may fail even after retries; the Result is
+// still returned alongside the error so callers can inspect the fault and
+// retry accounting of the doomed run.
 //
 // A fail-stop (a Kill fault) does not fail the run when CheckpointDir is set:
 // the engine detects the agreed-dead ranks, rebuilds the world as a new epoch
@@ -841,45 +843,15 @@ func (e *Engine) execute(suffix string, spanArgs map[string]int64, mk workloadFa
 // Result.Recovery. With checkpointing off, recovery degrades to a full
 // restart of the traversal under the new world.
 func (e *Engine) Run(root int64) (*Result, error) {
-	n := e.Part.Layout.N
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("core: root %d out of [0,%d)", root, n)
-	}
-	rc, err := e.execute(fmt.Sprintf("root%d", root), map[string]int64{"root": root},
-		func(e *Engine, r *comm.Rank) workload { return newRankState(e, r, root) })
-	if err != nil {
+	br, err := e.RunBatch([]int64{root})
+	if br == nil {
 		return nil, err
 	}
-	res := &Result{
-		Root:            root,
-		Parent:          make([]int64, n),
-		Iterations:      len(rc.trace),
-		Time:            rc.time,
-		Recorder:        rc.recorder,
-		PerRank:         rc.perRank,
-		Trace:           rc.trace,
-		Faults:          rc.faults,
-		Retries:         rc.retries,
-		RecoveryTime:    rc.recoveryTime,
-		Recovery:        rc.recovery,
-		CheckpointScope: rc.scopeName,
-	}
-	for i := range res.Parent {
-		res.Parent[i] = -1
-	}
-	if rc.err == nil {
-		for _, wl := range rc.states {
-			if wl == nil {
-				continue
-			}
-			wl.(*rankState).writeParents(res.Parent)
-		}
-		e.distAssemble(func(r *comm.Rank, lead bool) {
-			gatherOwned(e, r, lead, res.Parent)
-		})
-		res.TraversedEdges = e.countTraversedEdges(res.Parent)
-	}
-	return res, rc.err
+	res := br.Queries[0]
+	res.Iterations = br.Iterations
+	res.PerRank = br.PerRank
+	res.Trace = br.Trace
+	return res, err
 }
 
 // countTraversedEdges sums degrees of reachable vertices / 2 (each undirected

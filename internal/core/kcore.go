@@ -405,10 +405,10 @@ func (st *kcoreState) snapshot(g int) {
 	snapSlice(&s.lDeg, st.lDeg)
 	snapSlice(&s.hubDec, st.hubDec)
 	snapSlice(&s.lDec, st.lDec)
-	snapWords(&s.hubRemoved, st.hubRemoved)
-	snapWords(&s.hubPeel, st.hubPeel)
-	snapWords(&s.lRemoved, st.lRemoved)
-	snapWords(&s.lPeel, st.lPeel)
+	snapSlice(&s.hubRemoved, st.hubRemoved.Words())
+	snapSlice(&s.hubPeel, st.hubPeel.Words())
+	snapSlice(&s.lRemoved, st.lRemoved.Words())
+	snapSlice(&s.lPeel, st.lPeel.Words())
 	s.peeledOwn, s.peeledL = st.peeledOwn, st.peeledL
 }
 

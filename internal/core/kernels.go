@@ -4,10 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/bitmap"
-	"repro/internal/comm"
-	"repro/internal/partition"
 )
 
 // Message types. All parents travel as original vertex IDs.
@@ -127,9 +123,6 @@ func edgeCutChunks(prefix []int64, workers int) [][2]int {
 		if hi > n || w == workers {
 			hi = n
 		}
-		if w == workers {
-			hi = n
-		}
 		chunks = append(chunks, [2]int{lo, hi})
 		lo = hi
 	}
@@ -247,7 +240,7 @@ func (st *rankState) e2lPull() (int64, error) {
 	csr := &st.rg.LToE
 	orig := st.e.Part.Hubs.Orig
 	var edges int64
-	for li := 0; li < st.rg.LocalN; li++ {
+	for li, n := 0, st.rg.LocalN; li < n; li++ {
 		if csr.Ptr[li] == csr.Ptr[li+1] || st.lVisited.Test(li) || st.lNew.Test(li) {
 			continue
 		}
@@ -263,11 +256,13 @@ func (st *rankState) e2lPull() (int64, error) {
 	return edges, nil
 }
 
-// h2lGen walks the H2L component once, calling emit for every (destination
-// column, L-index, parent) activation the push ships. The dense and sparse
-// solo kernels and the batched multi-source path all generate through this
-// one loop body, which is what keeps their receiver-side apply streams
-// identical message for message.
+// h2lGen is the generate half of the H2L push: active H hubs in this rank's
+// column block message their L neighbors' owners along the row (the H2L
+// component is stored at the intersection of H's column and the owner's row).
+// It walks the component once, calling emit for every (destination column,
+// L-index, parent) activation; the batch's dense and sparse exchanges both
+// generate through this one loop body, which keeps their receiver-side apply
+// streams identical message for message.
 func (st *rankState) h2lGen(emit func(col, li int32, parent int64)) int64 {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
@@ -285,70 +280,13 @@ func (st *rankState) h2lGen(emit func(col, li int32, parent int64)) int64 {
 	return edges
 }
 
-// h2lPush: active H hubs in this rank's column block message their L
-// neighbors' owners along the row (the H2L component is stored at the
-// intersection of H's column and the owner's row).
-func (st *rankState) h2lPush() (int64, error) {
-	if st.sparse[partition.CompH2L] {
-		return st.h2lPushSparse()
-	}
-	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
-	edges := st.h2lGen(func(col, li int32, parent int64) {
-		send[col] = append(send[col], lMsg{LIdx: li, Parent: parent})
-	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	st.applyLMsgs(recv)
-	return edges, nil
-}
-
-// h2lPushSparse ships the same messages as the dense h2lPush as
-// destination-addressed triples over one row allgather. When the L2H push
-// also went sparse this iteration (st.batchRow) the updates are parked in
-// pendRow instead — the two kernels' payloads then ride a single batched
-// exchange at the L2H flush point, applied in the dense schedule's kernel
-// order. Generation order matches the dense kernel exactly, so each
-// receiver's filtered stream is the same sequence the dense exchange
-// delivers.
-func (st *rankState) h2lPushSparse() (int64, error) {
-	var ups []comm.SparseUpdate
-	edges := st.h2lGen(func(col, li int32, parent int64) {
-		ups = append(ups, comm.SparseUpdate{Dst: col,
-			Tag: int32(partition.CompH2L), Off: int64(li), Val: parent})
-	})
-	if st.batchRow {
-		st.pendRow = append(st.pendRow, ups...)
-		return edges, nil
-	}
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return edges, err
-	}
-	st.applyLMsgs(lPartsOf(out))
-	return edges, nil
-}
-
-// lPartsOf reshapes received sparse updates into the dense exchange's
-// per-source lMsg parts (Off is the destination-local L index).
-func lPartsOf(out [][]comm.SparseUpdate) [][]lMsg {
-	parts := make([][]lMsg, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			parts[j] = append(parts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-		}
-	}
-	return parts
-}
-
 // h2lPull: unvisited owned L vertices probe their H neighbors against the
 // replicated hub frontier; local thanks to delegation.
 func (st *rankState) h2lPull() (int64, error) {
 	csr := &st.rg.LToH
 	orig := st.e.Part.Hubs.Orig
 	var edges int64
-	for li := 0; li < st.rg.LocalN; li++ {
+	for li, n := 0, st.rg.LocalN; li < n; li++ {
 		if csr.Ptr[li] == csr.Ptr[li+1] || st.lVisited.Test(li) || st.lNew.Test(li) {
 			continue
 		}
@@ -444,13 +382,14 @@ func (st *rankState) applyLMsgsTwoStage(recv [][]lMsg, total, workers int) {
 func (st *rankState) l2ePush() (int64, error) {
 	csr := &st.rg.LToE
 	layout := st.e.Part.Layout
+	me := st.r.ID
 	var edges int64
 	st.lFrontier.ForEach(func(li int) {
 		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
 			if !st.hubVisited.Test(int(hub)) && !st.hubNew.Test(int(hub)) {
 				st.hubNew.Set(int(hub))
-				st.parentHub[hub] = layout.GlobalOf(st.r.ID, int32(li))
+				st.parentHub[hub] = layout.GlobalOf(me, int32(li))
 			}
 		}
 	})
@@ -479,19 +418,21 @@ func (st *rankState) l2ePull() (int64, error) {
 	return edges, nil
 }
 
-// l2hGen walks active owned L vertices once, calling emit for every
-// (destination column, hub, parent) delegate activation the push ships —
-// the shared loop body of the dense/sparse solo kernels and the batched
-// multi-source path. Delegation knowledge (hubVisited) prunes the message
-// before emit, exactly as the original kernels did.
+// l2hGen is the generate half of the L2H push: active owned L vertices
+// message the row delegate of each unvisited H neighbor (the rank in this row
+// holding H's column), which records the delegate activation; the next hub
+// sync propagates it. It calls emit for every (destination column, hub,
+// parent) activation — the one loop body of the dense and sparse exchanges.
+// Delegation knowledge (hubVisited) prunes the message before emit.
 func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
 	csr := &st.rg.LToH
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
+	me := st.r.ID
 	var edges int64
 	st.lFrontier.ForEach(func(li int) {
-		parent := layout.GlobalOf(st.r.ID, int32(li))
+		parent := layout.GlobalOf(me, int32(li))
 		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
 			if st.hubVisited.Test(int(hub)) {
@@ -501,47 +442,6 @@ func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
 		}
 	})
 	return edges
-}
-
-// l2hPush: active owned L vertices message the row delegate of each
-// unvisited H neighbor (the rank in this row holding H's column), which
-// records the delegate activation; the next hub sync propagates it.
-func (st *rankState) l2hPush() (int64, error) {
-	if st.sparse[partition.CompL2H] {
-		return st.l2hPushSparse()
-	}
-	send := make([][]hubMsg, st.e.Opt.Mesh.Cols)
-	edges := st.l2hGen(func(col, hub int32, parent int64) {
-		send[col] = append(send[col], hubMsg{Hub: hub, Parent: parent})
-	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	st.applyHubMsgs(recv)
-	return edges, nil
-}
-
-// l2hPushSparse is the sparse-triple form of l2hPush (Off carries the hub
-// id). With st.batchRow set it appends onto the H2L updates already parked in
-// pendRow and flushes the combined frame as the iteration's single row
-// exchange; otherwise it exchanges inline.
-func (st *rankState) l2hPushSparse() (int64, error) {
-	var ups []comm.SparseUpdate
-	edges := st.l2hGen(func(col, hub int32, parent int64) {
-		ups = append(ups, comm.SparseUpdate{Dst: col,
-			Tag: int32(partition.CompL2H), Off: int64(hub), Val: parent})
-	})
-	if st.batchRow {
-		st.pendRow = append(st.pendRow, ups...)
-		return edges, st.flushRowSparse()
-	}
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return edges, err
-	}
-	st.applyHubMsgs(hubPartsOf(out))
-	return edges, nil
 }
 
 // applyHubMsgs records received delegate activations (the L2H push's receive
@@ -557,67 +457,10 @@ func (st *rankState) applyHubMsgs(parts [][]hubMsg) {
 	}
 }
 
-// hubPartsOf reshapes received sparse updates into the dense exchange's
-// per-source hubMsg parts (Off is the hub id).
-func hubPartsOf(out [][]comm.SparseUpdate) [][]hubMsg {
-	parts := make([][]hubMsg, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			parts[j] = append(parts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-		}
-	}
-	return parts
-}
-
-// flushRowSparse runs the batched row exchange carrying both the H2L and L2H
-// pushes' updates and applies them in the dense schedule's kernel order: all
-// H2L activations first, then all L2H delegate activations, each split by tag
-// with per-source order preserved. Deferring the H2L applies to this point is
-// safe because the kernels between generation and flush (L2E, L2H) read only
-// lFrontier and the hub bitmaps, never lNew or parentL. The batch buffer is
-// cleared before the exchange even on error: a retry re-enters at the top of
-// step 1 and regenerates every update.
-func (st *rankState) flushRowSparse() error {
-	ups := st.pendRow
-	st.pendRow = st.pendRow[:0]
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return err
-	}
-	lParts := make([][]lMsg, len(out))
-	hubParts := make([][]hubMsg, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompH2L) {
-				lParts[j] = append(lParts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-			} else {
-				hubParts[j] = append(hubParts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-			}
-		}
-	}
-	st.applyLMsgs(lParts)
-	st.applyHubMsgs(hubParts)
-	return nil
-}
-
-// l2hPull: unvisited H hubs in this rank's column block probe their L
-// neighbors across the row against a row-wide L frontier (one row allgather),
-// with early exit.
-func (st *rankState) l2hPull() (int64, error) {
-	per := int(st.e.Part.Layout.PerRank)
-	mesh := st.e.Opt.Mesh
-	if st.rowFrontier == nil {
-		st.rowFrontier = bitmap.New(per * mesh.Cols)
-	}
-	if err := gatherFrontier(st.r.RowC, st.lFrontier, st.rowFrontier); err != nil {
-		return 0, err
-	}
-	return st.l2hPullScan(), nil
-}
-
-// l2hPullScan is the local probe half of l2hPull, run after rowFrontier is
-// populated. The batched path fills every plane's rowFrontier with one
-// gather and then scans each plane through this method.
+// l2hPullScan is the probe half of the L2H pull: unvisited H hubs in this
+// rank's column block probe their L neighbors across the row against the
+// row-wide L frontier, with early exit. The batch fills every pulling plane's
+// rowFrontier with one row gather, then scans each plane through this method.
 func (st *rankState) l2hPullScan() int64 {
 	per := int(st.e.Part.Layout.PerRank)
 	mesh := st.e.Opt.Mesh
@@ -641,38 +484,19 @@ func (st *rankState) l2hPullScan() int64 {
 	return edges
 }
 
-// gatherFrontier allgathers each member's local frontier words into the
-// member-indexed concatenated bitmap dst.
-func gatherFrontier(c *comm.Comm, local *bitmap.Bitmap, dst *bitmap.Bitmap) error {
-	parts, err := comm.Allgatherv(c, local.Words())
-	if err != nil {
-		return err
-	}
-	wordsPer := len(local.Words())
-	dw := dst.Words()
-	for m, p := range parts {
-		copy(dw[m*wordsPer:(m+1)*wordsPer], p)
-	}
-	return nil
-}
-
 // --- L2L ---------------------------------------------------------------------
 
-// l2lPush: active owned L vertices message their L neighbors' owners. With
-// Hierarchical set, messages hop via the intersection rank of the source
-// column and destination row (column alltoallv then row alltoallv), the
-// paper's forwarding scheme for fewer live global connections; otherwise one
-// world alltoallv.
-// l2lGenFlat walks active owned L vertices once, calling emit with every
-// (owner rank, destination vertex, parent) message of the flat L2L push —
-// the shared loop body of the dense and sparse solo kernels and the batched
-// multi-source path.
+// l2lGenFlat is the generate half of the L2L push: active owned L vertices
+// message their L neighbors' owners, calling emit with every (owner rank,
+// destination vertex, parent) message — the one loop body of the flat dense
+// and sparse exchanges.
 func (st *rankState) l2lGenFlat(emit func(owner int, dst, parent int64)) int64 {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
+	me := st.r.ID
 	var edges int64
 	st.lFrontier.ForEach(func(li int) {
-		parent := layout.GlobalOf(st.r.ID, int32(li))
+		parent := layout.GlobalOf(me, int32(li))
 		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
 			emit(layout.Owner(dst), dst, parent)
@@ -682,14 +506,17 @@ func (st *rankState) l2lGenFlat(emit func(owner int, dst, parent int64)) int64 {
 }
 
 // l2lGenRows is l2lGenFlat keyed by the owner's mesh row — stage 1 of the
-// hierarchical forwarding scheme.
+// hierarchical forwarding scheme, where messages hop via the intersection rank
+// of the source column and destination row (column alltoallv then row
+// alltoallv), the paper's forwarding for fewer live global connections.
 func (st *rankState) l2lGenRows(emit func(row int, dst, parent int64)) int64 {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
 	mesh := st.e.Opt.Mesh
+	me := st.r.ID
 	var edges int64
 	st.lFrontier.ForEach(func(li int) {
-		parent := layout.GlobalOf(st.r.ID, int32(li))
+		parent := layout.GlobalOf(me, int32(li))
 		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
 			emit(mesh.RowOf(layout.Owner(dst)), dst, parent)
@@ -698,75 +525,7 @@ func (st *rankState) l2lGenRows(emit func(row int, dst, parent int64)) int64 {
 	return edges
 }
 
-func (st *rankState) l2lPush() (int64, error) {
-	layout := st.e.Part.Layout
-	mesh := st.e.Opt.Mesh
-	if !st.e.Opt.Hierarchical {
-		if st.sparse[partition.CompL2L] {
-			return st.l2lPushSparse()
-		}
-		send := make([][]l2lMsg, layout.P)
-		edges := st.l2lGenFlat(func(owner int, dst, parent int64) {
-			send[owner] = append(send[owner], l2lMsg{Dst: dst, Parent: parent})
-		})
-		recv, err := comm.Alltoallv(st.r.World, send)
-		if err != nil {
-			return edges, err
-		}
-		st.applyL2L(recv)
-		return edges, nil
-	}
-	// Stage 1: sort by destination row, send down my column.
-	sendRow := make([][]l2lMsg, mesh.Rows)
-	edges := st.l2lGenRows(func(row int, dst, parent int64) {
-		sendRow[row] = append(sendRow[row], l2lMsg{Dst: dst, Parent: parent})
-	})
-	viaCol, colErr := comm.Alltoallv(st.r.ColC, sendRow)
-	// Stage 2: forward within the destination row by owner column. This runs
-	// even when stage 1 failed (with nothing to forward) so every rank keeps
-	// the same per-communicator collective schedule under faults.
-	sendCol := make([][]l2lMsg, mesh.Cols)
-	for _, part := range viaCol {
-		for _, m := range part {
-			col := mesh.ColOf(layout.Owner(m.Dst))
-			sendCol[col] = append(sendCol[col], m)
-		}
-	}
-	recv, rowErr := comm.Alltoallv(st.r.RowC, sendCol)
-	if colErr != nil {
-		return edges, colErr
-	}
-	if rowErr != nil {
-		return edges, rowErr
-	}
-	st.applyL2L(recv)
-	return edges, nil
-}
-
-// l2lPushSparse is the sparse-triple form of the flat (non-hierarchical) L2L
-// push: one world allgather of (owner, vertex, parent) triples instead of a
-// world alltoallv of dense buffers. Off carries the original vertex id;
-// hierarchical mode never reaches here (pickSparse keeps it dense).
-func (st *rankState) l2lPushSparse() (int64, error) {
-	var ups []comm.SparseUpdate
-	edges := st.l2lGenFlat(func(owner int, dst, parent int64) {
-		ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
-			Tag: int32(partition.CompL2L), Off: dst, Val: parent})
-	})
-	out, err := comm.AllgatherSparse(st.r.World, ups)
-	if err != nil {
-		return edges, err
-	}
-	recv := make([][]l2lMsg, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			recv[j] = append(recv[j], l2lMsg{Dst: u.Off, Parent: u.Val})
-		}
-	}
-	st.applyL2L(recv)
-	return edges, nil
-}
-
+// applyL2L applies received L2L activations owner-locally, in part order.
 func (st *rankState) applyL2L(recv [][]l2lMsg) {
 	layout := st.e.Part.Layout
 	for _, part := range recv {
@@ -780,27 +539,14 @@ func (st *rankState) applyL2L(recv [][]l2lMsg) {
 	}
 }
 
-// l2lPull: one world allgather replicates the L frontier (indexed by
-// original vertex ID thanks to the padded block layout), then unvisited
-// owned L vertices probe their neighbors with early exit.
-func (st *rankState) l2lPull() (int64, error) {
-	per := int(st.e.Part.Layout.PerRank)
-	if st.worldFrontier == nil {
-		st.worldFrontier = bitmap.New(per * st.e.Part.Layout.P)
-	}
-	if err := gatherFrontier(st.r.World, st.lFrontier, st.worldFrontier); err != nil {
-		return 0, err
-	}
-	return st.l2lPullScan(), nil
-}
-
-// l2lPullScan is the local probe half of l2lPull, run after worldFrontier is
-// populated (by gatherFrontier solo, or by one batched gather for every
-// plane in the multi-source path).
+// l2lPullScan is the probe half of the L2L pull: unvisited owned L vertices
+// probe their neighbors against the world-wide L frontier (indexed by original
+// vertex ID thanks to the padded block layout), with early exit. The batch
+// fills every pulling plane's worldFrontier with one world gather.
 func (st *rankState) l2lPullScan() int64 {
 	csr := &st.rg.L2L
 	var edges int64
-	for li := 0; li < st.rg.LocalN; li++ {
+	for li, n := 0, st.rg.LocalN; li < n; li++ {
 		if csr.Ptr[li] == csr.Ptr[li+1] || st.lVisited.Test(li) || st.lNew.Test(li) {
 			continue
 		}

@@ -12,26 +12,25 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the batched multi-source BFS path: one iteration
-// sweep traverses Q independent queries at once, with one bit-plane per
-// query stacked over contiguous backings so every collective — hub syncs,
-// dense exchanges, sparse flushes, frontier gathers, the epilogue allreduce
-// and the delayed parent reduction — is issued once per exchange point for
-// the whole batch instead of once per query.
+// This file implements the BFS iteration schedule: one sweep traverses Q
+// independent queries at once, with one bit-plane per query stacked over
+// contiguous backings so every collective — hub syncs, dense exchanges,
+// sparse flushes, frontier gathers, the epilogue allreduce and the delayed
+// parent reduction — is issued once per exchange point for the whole batch
+// instead of once per query. A single-root Engine.Run is a batch of one.
 //
-// The correctness contract is bit-exactness against solo runs: a batch of K
-// roots produces, per query, exactly the parents K independent Engine.Run
-// calls produce. It holds because (a) every per-query schedule decision
-// (direction, sparse, skip) is computed by the solo code path from that
+// The correctness contract is that a batch of K roots produces, per query,
+// exactly the parents K batches of one produce. It holds because (a) every
+// per-query schedule decision (direction, sparse, skip) is computed from that
 // query's own globally consistent counts, (b) remote kernels generate
-// messages through the same gen loop bodies as the solo kernels (kernels.go)
-// and receivers apply each query's stream in the same member-major order,
-// and (c) the one schedule input that IS batch-global — the previous
-// iteration's byte feedback, fed identically to every plane — can only move
-// a component between its dense and sparse exchange forms, which are
-// bit-equal by the established dense/sparse contract. SegmentAdaptive is the
-// single exception (its timing-driven pull variants may legitimately pick
-// different parents), so RunBatch rejects it.
+// messages through one gen loop body per component (kernels.go) and receivers
+// apply each query's stream in the same member-major order, and (c) the one
+// schedule input that IS batch-global — the previous iteration's byte
+// feedback, shared by every plane — can only move a component between its
+// dense and sparse exchange forms, which are bit-equal by the dense/sparse
+// contract. SegmentAdaptive is the single exception (its timing-driven pull
+// variants may legitimately pick different parents), so RunBatch rejects it
+// for batches of more than one root.
 
 // Backing indices of the stacked hub and L bit-planes.
 const (
@@ -62,32 +61,88 @@ func qidTag(q int, c partition.Component) int32 {
 // (the daemon's admission control sizes them from perfmodel memory math).
 const maxBatchWidth = 1 << 20
 
-// Qid-tagged forms of the dense exchange messages (kernels.go): one batched
-// alltoallv carries every query's payload, and receivers split by Qid back
-// into per-query streams.
-type mlMsg struct {
-	Qid    int32
-	LIdx   int32
-	Parent int64
+// queryMsg is a dense exchange message (kernels.go) that can also open a
+// query run: one batched alltoallv carries every query's payload, each
+// destination's buffer as runs of one query's messages, every run opened by
+// a marker naming its query. A marker costs one message per (destination,
+// query) run instead of a query tag on every message.
+type queryMsg[M any] interface {
+	mark(q int) M            // the marker opening a run of query q
+	query() (q int, ok bool) // the query a marker opens; ok is false for data
 }
 
-type mhubMsg struct {
-	Qid    int32
-	Hub    int32
-	Parent int64
+// Markers carry the query in Parent and a negative address, which no real
+// L index, hub id or vertex id takes.
+func (lMsg) mark(q int) lMsg        { return lMsg{LIdx: -1, Parent: int64(q)} }
+func (m lMsg) query() (int, bool)   { return int(m.Parent), m.LIdx < 0 }
+func (hubMsg) mark(q int) hubMsg    { return hubMsg{Hub: -1, Parent: int64(q)} }
+func (m hubMsg) query() (int, bool) { return int(m.Parent), m.Hub < 0 }
+func (l2lMsg) mark(q int) l2lMsg    { return l2lMsg{Dst: -1, Parent: int64(q)} }
+func (m l2lMsg) query() (int, bool) { return int(m.Parent), m.Dst < 0 }
+
+// queryBufs is one exchange's per-destination send buffers for a batch.
+type queryBufs[M queryMsg[M]] struct {
+	bufs [][]M
+	last []int // query of each destination's open run; -1 before the first
 }
 
-type ml2lMsg struct {
-	Qid    int32
-	Dst    int64
-	Parent int64
+func newQueryBufs[M queryMsg[M]](dests int) *queryBufs[M] {
+	b := &queryBufs[M]{bufs: make([][]M, dests), last: make([]int, dests)}
+	for i := range b.last {
+		b.last[i] = -1
+	}
+	return b
 }
 
-// multiState is the batched multi-source workload: Q rankState planes whose
-// bitmaps are views over contiguous per-kind backings, driven through the
-// same four-step retryable iteration skeleton (driver.runLoop) as every solo
-// workload — so step-granular retry, checkpointing, drain and fail-stop
-// epoch recovery all apply to a batch unchanged.
+// add appends query q's message to dst's buffer, opening a run first when
+// the buffer's last run belongs to another query.
+func (b *queryBufs[M]) add(dst, q int, msg M) {
+	if b.last[dst] != q {
+		b.bufs[dst] = append(b.bufs[dst], msg.mark(q))
+		b.last[dst] = q
+	}
+	b.bufs[dst] = append(b.bufs[dst], msg)
+}
+
+// splitByQuery cuts a received exchange at its markers into per-query runs,
+// member-major and in arrival order, so each query's runs are exactly the
+// stream a batch of one would receive. The runs alias recv.
+func splitByQuery[M queryMsg[M]](nq int, recv [][]M) [][][]M {
+	runs := make([][][]M, nq)
+	for _, part := range recv {
+		q, start := -1, 0
+		for i, msg := range part {
+			mq, ok := msg.query()
+			if !ok {
+				continue
+			}
+			if q >= 0 && i > start {
+				runs[q] = append(runs[q], part[start:i])
+			}
+			q, start = mq, i+1
+		}
+		if q >= 0 && len(part) > start {
+			runs[q] = append(runs[q], part[start:])
+		}
+	}
+	return runs
+}
+
+// applyByQuery applies a received exchange plane by plane through apply,
+// each plane seeing only its own query's runs.
+func applyByQuery[M queryMsg[M]](m *multiState, recv [][]M, apply func(p *rankState, runs [][]M)) {
+	for q, runs := range splitByQuery(m.nq, recv) {
+		if len(runs) > 0 {
+			apply(m.planes[q], runs)
+		}
+	}
+}
+
+// multiState is the BFS workload: Q rankState planes whose bitmaps are views
+// over contiguous per-kind backings, driven through the same four-step
+// retryable iteration skeleton (driver.runLoop) as every other workload — so
+// step-granular retry, checkpointing, drain and fail-stop epoch recovery all
+// apply to a batch unchanged.
 type multiState struct {
 	driver
 
@@ -153,12 +208,11 @@ func newMultiState(e *Engine, r *comm.Rank, roots []int64) *multiState {
 	for i := range m.pLAll {
 		m.pLAll[i] = -1
 	}
-	for q, root := range roots {
+	for q := range roots {
 		m.doneIter[q] = -1
 		m.pHubAll[nq*k+3*q+2] = -1
-		p := &rankState{
-			driver:      newDriver(e, r, e.Opt.MaxIterations),
-			root:        root,
+		m.planes[q] = &rankState{
+			driver:      &m.driver,
 			k:           k,
 			numE:        int64(e.Part.Hubs.NumE),
 			numL:        e.Part.Layout.N - int64(k),
@@ -172,28 +226,21 @@ func newMultiState(e *Engine, r *comm.Rank, roots []int64) *multiState {
 			lNew:        m.lPl[lNIdx].Plane(q),
 			parentL:     m.pLAll[q*per : (q+1)*per : (q+1)*per],
 		}
-		// Planes share the batch driver's recorder (one merged breakdown per
-		// rank) and emit no spans of their own — the batch driver's per-
-		// iteration "batch_iter" span and per-exchange kernel spans are the
-		// timeline. Everything else about a plane driver (rank, rank graph,
-		// sparse latches) behaves exactly as in a solo run.
-		p.driver.rec = m.driver.rec
-		p.driver.tr = nil
-		m.planes[q] = p
 	}
 	return m
 }
 
 func (m *multiState) drv() *driver { return &m.driver }
 
-// bootstrap seeds every plane's root exactly as the solo bootstrap does,
-// including the per-query control-plane count agreement (fault-exempt, so
-// the loop adds no data-plane collectives).
+// bootstrap seeds every plane's root, then agrees each query's global L
+// counts for its direction decisions over the control plane (fault-exempt,
+// so the loop adds no data-plane collectives; there is no prior consistent
+// state to retry from).
 func (m *multiState) bootstrap() error {
 	layout := m.e.Part.Layout
 	hubs := m.e.Part.Hubs
-	for _, p := range m.planes {
-		root := p.root
+	for q, p := range m.planes {
+		root := m.roots[q]
 		if h, ok := hubs.HubOf(root); ok {
 			p.hubFrontier.Set(int(h))
 			p.hubVisited.Set(int(h))
@@ -212,8 +259,8 @@ func (m *multiState) bootstrap() error {
 	return nil
 }
 
-// beginIter latches every live plane's schedule through the solo decision
-// path (each plane sees its own counts plus the shared batch-global byte
+// beginIter latches every live plane's schedule through its own direction
+// decision (each plane sees its own counts plus the shared batch-global byte
 // feedback), freezes converged planes to all-skip, and aggregates the
 // batch-level IterTrace the driver loop records.
 func (m *multiState) beginIter(it *IterTrace) {
@@ -231,7 +278,6 @@ func (m *multiState) beginIter(it *IterTrace) {
 			continue
 		}
 		live++
-		p.lastIterBytes = m.lastIterBytes
 		p.beginIter(&m.its[q])
 	}
 	*it = IterTrace{}
@@ -304,8 +350,7 @@ func (m *multiState) runLocal(c partition.Component, firstErr *error, fn func(p 
 }
 
 // observeExchange runs one batched exchange under the batch driver's
-// recorder and span stream, attributed to the component's phase exactly as
-// the solo kernel that would have carried it.
+// recorder and span stream, attributed to the component's phase.
 func (m *multiState) observeExchange(c partition.Component, dir stats.Direction, fn func() error) error {
 	m.r.SetTag(int(c))
 	return m.observe(c, dir, func() (int64, error) { return 0, fn() })
@@ -324,18 +369,27 @@ func (m *multiState) step(g int, it *IterTrace) error {
 	}
 }
 
-// step0: per-plane EH2EH (always rank-local), then one hub sync for the
-// whole batch if any plane's schedule needs it.
+// step0: per-plane EH2EH (always rank-local) under the engine's one pull
+// selection, then one hub sync for the whole batch if any plane's schedule
+// needs it. EH2EH is the only kernel of this step that can set hubNew, and
+// the previous sync left hubNew empty — when every plane skipped it the
+// allreduce pair would carry all-zero words, so it is elided. The skip
+// derives from globally consistent counts, so every rank elides the same
+// collectives.
 func (m *multiState) step0() error {
 	var firstErr error
+	ehPull := (*rankState).ehPull
+	switch {
+	case m.e.Opt.SegmentAdaptive:
+		ehPull = (*rankState).ehPullAdaptive
+	case m.e.Opt.Segmented:
+		ehPull = (*rankState).ehPullSegmented
+	}
 	m.runLocal(partition.CompEH2EH, &firstErr, func(p *rankState, dir stats.Direction) (int64, error) {
 		if dir == stats.DirPush {
 			return p.ehPush()
 		}
-		if m.e.Opt.Segmented {
-			return p.ehPullSegmented()
-		}
-		return p.ehPull()
+		return ehPull(p)
 	})
 	if m.anyLive(func(t *IterTrace) bool { return t.Directions[partition.CompEH2EH] != stats.DirSkip }) {
 		if err := m.syncHubsAll(); firstErr == nil {
@@ -346,10 +400,11 @@ func (m *multiState) step0() error {
 }
 
 // syncHubsAll merges every plane's hub activations in ONE column+row
-// allreduce pair over the contiguous hubNew backing, then folds each plane
-// exactly as the solo sync does. Planes whose schedule would have elided the
-// solo sync contribute all-zero words and a no-op fold, so the shared
-// collective cannot perturb them.
+// allreduce-OR pair over the contiguous hubNew backing — the paper's
+// delegation traffic pattern, E and H state moving only on column and row
+// links — then folds each plane's agreed activations into its visited state.
+// Planes whose own schedule would have elided the sync contribute all-zero
+// words and a no-op fold, so the shared collective cannot perturb them.
 func (m *multiState) syncHubsAll() error {
 	words := m.hubPl[hubNIdx].Words()
 	err := syncHub(&m.driver, "hub_sync", len(words), func(c *comm.Comm) error {
@@ -366,12 +421,15 @@ func (m *multiState) syncHubsAll() error {
 
 // step1 runs the four hub<->L components. Local kernels run per plane; the
 // remote H2L and L2H pushes generate through the shared gen loops into
-// qid-tagged buffers and ride at most one row alltoallv each, every sparse
+// query-run buffers and ride at most one row alltoallv each, every sparse
 // update of both components rides one row allgather at the L2H flush point,
 // and all pulling planes' frontiers ship in one row gather. Deferring the
-// sparse H2L applies to the flush is safe for the same reason the solo
-// batched row exchange is: the kernels between generation and flush (L2E,
-// L2H) read only lFrontier and the hub bitmaps, never lNew or parentL.
+// sparse H2L applies to the flush is safe because the kernels between
+// generation and flush (L2E, L2H) read only lFrontier and the hub bitmaps,
+// never lNew or parentL. Only the L->hub kernels (L2E, L2H) set hubNew here,
+// so the closing hub sync is elided when every plane skipped both. A retry
+// re-enters with a stale pendRow from the failed attempt; the re-executed
+// kernels regenerate every update.
 func (m *multiState) step1() error {
 	var firstErr error
 	collect := func(err error) {
@@ -390,7 +448,7 @@ func (m *multiState) step1() error {
 	})
 
 	// H2L: gen per plane (H2L pull is rank-local, so it runs inline).
-	h2lSend := make([][]mlMsg, cols)
+	h2lSend := newQueryBufs[lMsg](cols)
 	for q, p := range m.planes {
 		if m.done[q] {
 			continue
@@ -409,7 +467,7 @@ func (m *multiState) step1() error {
 				}), nil
 			default:
 				return p.h2lGen(func(col, li int32, parent int64) {
-					h2lSend[col] = append(h2lSend[col], mlMsg{Qid: int32(q), LIdx: li, Parent: parent})
+					h2lSend.add(int(col), q, lMsg{LIdx: li, Parent: parent})
 				}), nil
 			}
 		})
@@ -419,11 +477,11 @@ func (m *multiState) step1() error {
 		return t.Directions[partition.CompH2L] == stats.DirPush && !t.Sparse[partition.CompH2L]
 	}) {
 		collect(m.observeExchange(partition.CompH2L, stats.DirPush, func() error {
-			recv, err := comm.Alltoallv(m.r.RowC, h2lSend)
+			recv, err := comm.Alltoallv(m.r.RowC, h2lSend.bufs)
 			if err != nil {
 				return err
 			}
-			m.applyLPlanes(recv)
+			applyByQuery(m, recv, (*rankState).applyLMsgs)
 			return nil
 		}))
 	}
@@ -436,7 +494,7 @@ func (m *multiState) step1() error {
 	})
 
 	// L2H: gen for pushing planes; pulls are deferred past the shared gather.
-	l2hSend := make([][]mhubMsg, cols)
+	l2hSend := newQueryBufs[hubMsg](cols)
 	for q, p := range m.planes {
 		if m.done[q] || m.its[q].Directions[partition.CompL2H] == stats.DirPull {
 			continue
@@ -452,7 +510,7 @@ func (m *multiState) step1() error {
 				}), nil
 			}
 			return p.l2hGen(func(col, hub int32, parent int64) {
-				l2hSend[col] = append(l2hSend[col], mhubMsg{Qid: int32(q), Hub: hub, Parent: parent})
+				l2hSend.add(int(col), q, hubMsg{Hub: hub, Parent: parent})
 			}), nil
 		})
 		collect(err)
@@ -461,11 +519,11 @@ func (m *multiState) step1() error {
 		return t.Directions[partition.CompL2H] == stats.DirPush && !t.Sparse[partition.CompL2H]
 	}) {
 		collect(m.observeExchange(partition.CompL2H, stats.DirPush, func() error {
-			recv, err := comm.Alltoallv(m.r.RowC, l2hSend)
+			recv, err := comm.Alltoallv(m.r.RowC, l2hSend.bufs)
 			if err != nil {
 				return err
 			}
-			m.applyHubPlanes(recv)
+			applyByQuery(m, recv, (*rankState).applyHubMsgs)
 			return nil
 		}))
 	}
@@ -526,7 +584,7 @@ func (m *multiState) pullPlanes(c partition.Component) []int {
 	return qs
 }
 
-// step2 runs L2L: pushing planes generate qid-tagged messages into one flat
+// step2 runs L2L: pushing planes generate query runs into one flat
 // world alltoallv (or the two-stage hierarchical forward), sparse planes
 // into one world allgather, and pulling planes share one world frontier
 // gather.
@@ -542,8 +600,8 @@ func (m *multiState) step2() error {
 
 	if m.e.Opt.Hierarchical {
 		// Hierarchical L2L is always dense (pickSparse keeps it so); the
-		// qid rides inside the message through both forwarding stages.
-		sendRow := make([][]ml2lMsg, mesh.Rows)
+		// forwarder re-opens each query's runs towards the owner columns.
+		sendRow := newQueryBufs[l2lMsg](mesh.Rows)
 		for q, p := range m.planes {
 			if m.done[q] || m.its[q].Directions[partition.CompL2L] == stats.DirPull {
 				continue
@@ -552,7 +610,7 @@ func (m *multiState) step2() error {
 			dir := m.its[q].Directions[partition.CompL2L]
 			collect(p.runComp(partition.CompL2L, dir, func() (int64, error) {
 				return p.l2lGenRows(func(row int, dst, parent int64) {
-					sendRow[row] = append(sendRow[row], ml2lMsg{Qid: int32(q), Dst: dst, Parent: parent})
+					sendRow.add(row, q, l2lMsg{Dst: dst, Parent: parent})
 				}), nil
 			}))
 		}
@@ -560,29 +618,30 @@ func (m *multiState) step2() error {
 			return t.Directions[partition.CompL2L] == stats.DirPush
 		}) {
 			collect(m.observeExchange(partition.CompL2L, stats.DirPush, func() error {
-				viaCol, colErr := comm.Alltoallv(m.r.ColC, sendRow)
-				// Stage 2 always runs, exactly as solo: the row communicator's
-				// schedule must match on every rank even when stage 1 failed.
-				sendCol := make([][]ml2lMsg, mesh.Cols)
-				for _, part := range viaCol {
-					for _, msg := range part {
-						col := mesh.ColOf(layout.Owner(msg.Dst))
-						sendCol[col] = append(sendCol[col], msg)
+				viaCol, colErr := comm.Alltoallv(m.r.ColC, sendRow.bufs)
+				// Stage 2 always runs: the row communicator's schedule must
+				// match on every rank even when stage 1 failed.
+				sendCol := newQueryBufs[l2lMsg](mesh.Cols)
+				for q, runs := range splitByQuery(m.nq, viaCol) {
+					for _, run := range runs {
+						for _, msg := range run {
+							sendCol.add(mesh.ColOf(layout.Owner(msg.Dst)), q, msg)
+						}
 					}
 				}
-				recv, rowErr := comm.Alltoallv(m.r.RowC, sendCol)
+				recv, rowErr := comm.Alltoallv(m.r.RowC, sendCol.bufs)
 				if colErr != nil {
 					return colErr
 				}
 				if rowErr != nil {
 					return rowErr
 				}
-				m.applyL2LPlanes(recv)
+				applyByQuery(m, recv, (*rankState).applyL2L)
 				return nil
 			}))
 		}
 	} else {
-		send := make([][]ml2lMsg, layout.P)
+		send := newQueryBufs[l2lMsg](layout.P)
 		var ups []comm.SparseUpdate
 		for q, p := range m.planes {
 			if m.done[q] || m.its[q].Directions[partition.CompL2L] == stats.DirPull {
@@ -599,7 +658,7 @@ func (m *multiState) step2() error {
 					}), nil
 				}
 				return p.l2lGenFlat(func(owner int, dst, parent int64) {
-					send[owner] = append(send[owner], ml2lMsg{Qid: int32(q), Dst: dst, Parent: parent})
+					send.add(owner, q, l2lMsg{Dst: dst, Parent: parent})
 				}), nil
 			}))
 		}
@@ -607,11 +666,11 @@ func (m *multiState) step2() error {
 			return t.Directions[partition.CompL2L] == stats.DirPush && !t.Sparse[partition.CompL2L]
 		}) {
 			collect(m.observeExchange(partition.CompL2L, stats.DirPush, func() error {
-				recv, err := comm.Alltoallv(m.r.World, send)
+				recv, err := comm.Alltoallv(m.r.World, send.bufs)
 				if err != nil {
 					return err
 				}
-				m.applyL2LPlanes(recv)
+				applyByQuery(m, recv, (*rankState).applyL2L)
 				return nil
 			}))
 		}
@@ -709,7 +768,7 @@ func (m *multiState) endIter(it *IterTrace) bool {
 			continue
 		}
 		m.hist[q] = append(m.hist[q], m.its[q])
-		if p.endIter(&m.its[q]) {
+		if p.endIter() {
 			m.done[q] = true
 			m.doneIter[q] = m.curIter
 		} else {
@@ -719,28 +778,27 @@ func (m *multiState) endIter(it *IterTrace) bool {
 	return all
 }
 
-// finalize is the delayed parent reduction for the whole batch: ONE
-// world-wide max-reduce over the Q stacked delegate arrays instead of Q
-// separate reduces.
+// finalize is the delayed parent reduction (Section 5) for the whole batch:
+// ONE world-wide max-reduce over the Q stacked delegate arrays after the run,
+// instead of per-iteration traffic and instead of Q separate reduces.
 func (m *multiState) finalize() error {
 	return reduceMaxParents(&m.driver, m.pHubAll[:m.nq*m.hubK])
 }
 
-func snapRaw(dst *[]uint64, w []uint64) {
-	if cap(*dst) < len(w) {
-		*dst = make([]uint64, len(w))
-	}
-	*dst = (*dst)[:len(w)]
-	copy(*dst, w)
-}
+// snapshot captures what a retry of step g needs: every frontier/visited
+// backing plus the per-query cached counts. The parent arrays are
+// deliberately not captured — parent updates are monotone (a slot is written
+// at most once per discovery, always with a valid BFS parent at the
+// discovering level), so any write a failed attempt left behind is either
+// re-performed identically by the retry or is already a correct parent.
 
 func (m *multiState) snapshot(g int) {
 	s := &m.snaps[g]
 	for i := range m.hubPl {
-		snapRaw(&s.hub[i], m.hubPl[i].Words())
+		snapSlice(&s.hub[i], m.hubPl[i].Words())
 	}
 	for i := range m.lPl {
-		snapRaw(&s.l[i], m.lPl[i].Words())
+		snapSlice(&s.l[i], m.lPl[i].Words())
 	}
 	if s.activeL == nil {
 		s.activeL = make([]int64, m.nq)
@@ -769,7 +827,8 @@ func (m *multiState) restore(g int) {
 // ckpt maps the batch onto the writer's fixed geometry: the stacked bitmap
 // backings are the word arrays, and the stacked parent arrays (with the
 // per-query scalar tail refreshed here) are the int64 arrays. hubNew,
-// hubIter and lNew are empty at every capture point, exactly as solo.
+// hubIter and lNew are empty at every capture point, so they are not part
+// of the on-disk state.
 func (m *multiState) ckpt() ckptSlices {
 	t := m.nq * m.hubK
 	var sumA, sumV int64
@@ -806,8 +865,9 @@ func (m *multiState) loadState(cs *checkpoint.State) {
 
 // gatherPlanes ships the pulling planes' local L frontiers in one uniform
 // allgather over c and scatters the member-major result into each plane's
-// destination frontier (rowFrontier or worldFrontier), reproducing exactly
-// what Q separate gatherFrontier calls would build.
+// destination frontier (rowFrontier or worldFrontier): each plane's
+// destination is the member-indexed concatenation of that query's local
+// frontier words.
 func (m *multiState) gatherPlanes(c *comm.Comm, comp partition.Component, qs []int, dstOf func(p *rankState) *bitmap.Bitmap) error {
 	lw := m.lPl[lFIdx].Stride()
 	n := len(qs) * lw
@@ -838,72 +898,10 @@ func (m *multiState) gatherPlanes(c *comm.Comm, comp partition.Component, qs []i
 	})
 }
 
-// applyLPlanes splits a qid-tagged receive into per-plane member-major parts
-// and applies them plane by plane — each plane sees exactly the message
-// sequence its solo exchange would deliver.
-func (m *multiState) applyLPlanes(recv [][]mlMsg) {
-	parts := make([][]lMsg, len(recv))
-	for q, p := range m.planes {
-		qid := int32(q)
-		any := false
-		for j, part := range recv {
-			parts[j] = parts[j][:0]
-			for _, msg := range part {
-				if msg.Qid == qid {
-					parts[j] = append(parts[j], lMsg{LIdx: msg.LIdx, Parent: msg.Parent})
-					any = true
-				}
-			}
-		}
-		if any {
-			p.applyLMsgs(parts)
-		}
-	}
-}
-
-func (m *multiState) applyHubPlanes(recv [][]mhubMsg) {
-	parts := make([][]hubMsg, len(recv))
-	for q, p := range m.planes {
-		qid := int32(q)
-		any := false
-		for j, part := range recv {
-			parts[j] = parts[j][:0]
-			for _, msg := range part {
-				if msg.Qid == qid {
-					parts[j] = append(parts[j], hubMsg{Hub: msg.Hub, Parent: msg.Parent})
-					any = true
-				}
-			}
-		}
-		if any {
-			p.applyHubMsgs(parts)
-		}
-	}
-}
-
-func (m *multiState) applyL2LPlanes(recv [][]ml2lMsg) {
-	parts := make([][]l2lMsg, len(recv))
-	for q, p := range m.planes {
-		qid := int32(q)
-		any := false
-		for j, part := range recv {
-			parts[j] = parts[j][:0]
-			for _, msg := range part {
-				if msg.Qid == qid {
-					parts[j] = append(parts[j], l2lMsg{Dst: msg.Dst, Parent: msg.Parent})
-					any = true
-				}
-			}
-		}
-		if any {
-			p.applyL2L(parts)
-		}
-	}
-}
-
-// applySparseRowPlanes applies the combined row flush in the solo order:
-// per plane, all H2L activations first, then all L2H delegate activations,
-// each member-major with per-member generation order preserved.
+// applySparseRowPlanes applies the combined row flush in the dense
+// schedule's kernel order: per plane, all H2L activations first, then all L2H
+// delegate activations, each member-major with per-member generation order
+// preserved.
 func (m *multiState) applySparseRowPlanes(out [][]comm.SparseUpdate) {
 	members := len(out)
 	lParts := make([][]lMsg, members)
@@ -955,7 +953,7 @@ func (m *multiState) applySparseL2LPlanes(out [][]comm.SparseUpdate) {
 }
 
 // BatchResult is one batched multi-source sweep's output: per-query results
-// bit-identical to solo runs, plus batch-level occupancy and accounting.
+// bit-identical to batches of one, plus batch-level occupancy and accounting.
 type BatchResult struct {
 	Roots []int64
 	// Queries holds one Result per root, aligned with Roots. Each query's
@@ -969,7 +967,7 @@ type BatchResult struct {
 	Time       time.Duration
 	// AvgOccupancy is the mean number of live (unconverged) queries per
 	// sweep iteration: len(Roots) at full amortization; 1.0 means the batch
-	// degenerated to solo cost.
+	// degenerated to the cost of a single query.
 	AvgOccupancy float64
 	Recorder     *stats.Recorder
 	PerRank      []*stats.Recorder
@@ -997,7 +995,8 @@ func (b *BatchResult) TraversedEdges() int64 {
 
 // GTEPS is the batch's aggregate throughput: total traversed edges over the
 // sweep's wall time, in giga units — the number a batched service sustains,
-// directly comparable to the sum of solo runs' wall time for the same roots.
+// directly comparable to the sum of single-root runs' wall time for the same
+// roots.
 func (b *BatchResult) GTEPS() float64 {
 	if b.Time <= 0 {
 		return 0
@@ -1006,12 +1005,12 @@ func (b *BatchResult) GTEPS() float64 {
 }
 
 // RunBatch traverses all roots in one batched multi-source sweep and
-// assembles per-query results bit-identical to len(roots) solo Run calls.
+// assembles per-query results bit-identical to len(roots) single-root runs.
 // The whole sweep rides the shared driver loop, so step-granular retry,
-// checkpoint capture, drain and fail-stop epoch recovery apply to a batch
-// exactly as to a solo run. SegmentAdaptive engines are rejected: their
-// timing-driven pull variants may legitimately discover different parents
-// per run, which breaks the batch-vs-solo contract.
+// checkpoint capture, drain and fail-stop epoch recovery apply to every
+// batch. SegmentAdaptive engines accept only one root: their timing-driven
+// pull variants may legitimately discover different parents per run, which
+// would break the batch-of-K contract.
 func (e *Engine) RunBatch(roots []int64) (*BatchResult, error) {
 	n := e.Part.Layout.N
 	if len(roots) == 0 {
@@ -1025,8 +1024,8 @@ func (e *Engine) RunBatch(roots []int64) (*BatchResult, error) {
 			return nil, fmt.Errorf("core: root %d out of [0,%d)", root, n)
 		}
 	}
-	if e.Opt.SegmentAdaptive {
-		return nil, fmt.Errorf("core: RunBatch does not support SegmentAdaptive (nondeterministic parent choice breaks the batch-vs-solo contract)")
+	if e.Opt.SegmentAdaptive && len(roots) > 1 {
+		return nil, fmt.Errorf("core: RunBatch of %d roots does not support SegmentAdaptive (nondeterministic parent choice breaks the batch-of-K contract)", len(roots))
 	}
 	nq := len(roots)
 	rc, err := e.execute(fmt.Sprintf("batch%d", nq),

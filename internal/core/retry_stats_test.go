@@ -18,8 +18,8 @@ type reliable struct{}
 func (reliable) Intercept(comm.Call) comm.FaultAction { return comm.FaultAction{} }
 
 // TestRetryDoesNotDoubleCountStats is the regression test for the stats
-// double-count on step-granular retry: a retried step re-enters runStep
-// mid-iteration and re-observes its kernels, and before the iterSnapshot
+// double-count on step-granular retry: a retried step re-enters the
+// iteration mid-way and re-observes its kernels, and before the step snapshot
 // learned to roll the recorder back, the failed attempt's volumes and edge
 // touches stayed in the aggregates. A run that retried must report exactly
 // the volumes and edges of an identical run that never failed.
@@ -54,7 +54,7 @@ func TestRetryDoesNotDoubleCountStats(t *testing.T) {
 		{"mid-iteration step retry", &failOnce{rank: 0, iter: 2, tag: 0}},
 		// The delayed parent reduction after convergence (it runs with the
 		// converging iteration still current): its retry loop re-runs
-		// reduceParents, re-observing PhaseReduce.
+		// the parent reduction, re-observing PhaseReduce.
 		{"parent reduction retry", &failOnce{rank: 0, iter: int64(want.Iterations - 1), tag: TagReduce}},
 	}
 	for _, tc := range cases {

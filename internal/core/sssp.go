@@ -319,8 +319,8 @@ func (st *ssspState) snapshot(g int) {
 	snapSlice(&s.lDist, st.lDist)
 	snapSlice(&s.hubParent, st.hubParent)
 	snapSlice(&s.lParent, st.lParent)
-	snapWords(&s.hubDirty, st.hubDirty)
-	snapWords(&s.lDirty, st.lDirty)
+	snapSlice(&s.hubDirty, st.hubDirty.Words())
+	snapSlice(&s.lDirty, st.lDirty.Words())
 	s.relaxations = st.relaxations
 }
 

@@ -210,8 +210,8 @@ func (st *wccState) snapshot(g int) {
 	s := &st.snaps[g]
 	snapSlice(&s.hubLabel, st.hubLabel)
 	snapSlice(&s.lLabel, st.lLabel)
-	snapWords(&s.hubNext, st.hubNext)
-	snapWords(&s.lNext, st.lNext)
+	snapSlice(&s.hubNext, st.hubNext.Words())
+	snapSlice(&s.lNext, st.lNext.Words())
 }
 
 func (st *wccState) restore(g int) {
@@ -317,7 +317,7 @@ func (st *wccState) h2lProp() (int64, error) {
 		if err != nil {
 			return edges, err
 		}
-		st.applyLLabels(lPartsOf(out))
+		st.applyRowLabels(out)
 		return edges, nil
 	}
 	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
@@ -392,7 +392,7 @@ func (st *wccState) l2hProp() (int64, error) {
 		if err != nil {
 			return edges, err
 		}
-		st.applyHubLabels(hubPartsOf(out))
+		st.applyRowLabels(out)
 		return edges, nil
 	}
 	send := make([][]hubMsg, mesh.Cols)
@@ -424,11 +424,10 @@ func (st *wccState) applyHubLabels(parts [][]hubMsg) {
 }
 
 // flushRowLabels runs the batched row exchange carrying both the H2L and L2H
-// label payloads and applies them in the dense schedule's kernel order (all
-// H2L lowers, then all L2H lowers). Deferring the H2L applies is safe because
-// the kernels between generation and flush read only base labels and hub
-// labels, never live L labels. The buffer clears before the exchange even on
-// error: a retry re-enters at the top of step 1 and regenerates every update.
+// label payloads. Deferring the H2L applies is safe because the kernels
+// between generation and flush read only base labels and hub labels, never
+// live L labels. The buffer clears before the exchange even on error: a retry
+// re-enters at the top of step 1 and regenerates every update.
 func (st *wccState) flushRowLabels() error {
 	ups := st.pendRow
 	st.pendRow = st.pendRow[:0]
@@ -436,20 +435,28 @@ func (st *wccState) flushRowLabels() error {
 	if err != nil {
 		return err
 	}
-	lParts := make([][]lMsg, len(out))
-	hubParts := make([][]hubMsg, len(out))
-	for j, us := range out {
+	st.applyRowLabels(out)
+	return nil
+}
+
+// applyRowLabels applies a sparse row exchange in the dense schedule's kernel
+// order: all H2L lowers, then all L2H lowers, each member-major with
+// per-member generation order preserved (Off is the L index or the hub id).
+func (st *wccState) applyRowLabels(out [][]comm.SparseUpdate) {
+	for _, us := range out {
 		for _, u := range us {
 			if u.Tag == int32(partition.CompH2L) {
-				lParts[j] = append(lParts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-			} else {
-				hubParts[j] = append(hubParts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
+				st.lowerL(int32(u.Off), u.Val)
 			}
 		}
 	}
-	st.applyLLabels(lParts)
-	st.applyHubLabels(hubParts)
-	return nil
+	for _, us := range out {
+		for _, u := range us {
+			if u.Tag == int32(partition.CompL2H) {
+				st.lowerHub(int32(u.Off), u.Val)
+			}
+		}
+	}
 }
 
 // l2lProp: dirty owned L vertices message their L neighbors' owners; one

@@ -52,6 +52,23 @@ type workload interface {
 	loadState(cs *checkpoint.State)
 }
 
+// One iteration is four steps, each ending at a consistent collective
+// boundary so a retry can re-enter at the lowest globally failed step,
+// short-circuiting everything that already completed cleanly on every rank.
+// For BFS:
+//
+//	step 0: EH2EH + hub sync
+//	step 1: E2L, H2L, L2E, L2H + hub sync
+//	step 2: L2L
+//	step 3: epilogue — frontier advance, optional immediate parent
+//	        reduction, and the global active-L allreduce
+const numSteps = 4
+
+// drainBit is the iteration vote's graceful-drain flag, carried in the same
+// OR-word as the failed-step mask (word 0). Bit 63 can never collide with a
+// step index, and the vote strips it before any step-mask inspection.
+const drainBit uint64 = 1 << 63
+
 // ckptSlices is a workload's checkpointable state in the writer's fixed
 // geometry: four word slices, two int64 arrays, two scalar counters. A
 // workload maps its own arrays onto these slots (BFS: frontiers + parents;
@@ -63,8 +80,9 @@ type ckptSlices struct {
 }
 
 // driver is the per-rank engine substrate shared by every workload. It is
-// embedded by value in each workload's rank state, so kernels reach its
-// fields (r, rg, sparse, pendRow, ...) via promotion.
+// embedded in each workload's rank state (by value; BFS query planes embed a
+// pointer to their batch's driver), so kernels reach its fields (r, rg,
+// sparse, pendRow, ...) via promotion.
 type driver struct {
 	e   *Engine
 	r   *comm.Rank
@@ -221,8 +239,8 @@ func (d *driver) observeCollective(kind trace.Kind, phase stats.Phase, name stri
 	return err
 }
 
-// snapSlice copies src into a reusable snapshot buffer, mirroring snapWords
-// for the workloads' value arrays (labels, degrees, distances, ranks).
+// snapSlice copies src into a reusable snapshot buffer: the workloads' value
+// arrays (labels, degrees, distances, ranks) and bitmap words alike.
 func snapSlice[T any](dst *[]T, src []T) {
 	if cap(*dst) < len(src) {
 		*dst = make([]T, len(src))
