@@ -89,8 +89,8 @@ type SparseMode = core.SparseMode
 
 // Sparse-tail policies.
 const (
-	// SparseAuto adaptively ships tail-iteration messages as sparse update
-	// triples over one allgather when frontiers collapse (the default).
+	// SparseAuto adaptively ships tail-iteration messages over one sparse
+	// allgather when frontiers collapse (the default).
 	SparseAuto = core.SparseAuto
 	// SparseOff forces the dense per-destination exchanges everywhere.
 	SparseOff = core.SparseOff
@@ -144,7 +144,7 @@ type Config struct {
 	RankWorkers int
 	// Hierarchical forwards L2L messages via mesh intersection ranks.
 	Hierarchical bool
-	// SparseTail selects the sparse-update tail collective policy (default
+	// SparseTail selects the sparse tail collective policy (default
 	// SparseAuto: low-frontier iterations batch their remote push payloads
 	// into one sparse allgather instead of dense alltoallv exchanges).
 	SparseTail SparseMode

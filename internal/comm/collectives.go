@@ -1,6 +1,9 @@
 package comm
 
-import "unsafe"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // elemSize returns the in-memory size of T for traffic accounting.
 func elemSize[T any]() int64 {
@@ -45,8 +48,12 @@ func sliceBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*es)
 }
 
-// bytesToSlice reassembles received raw parts into a fresh []T.
-func bytesToSlice[T any](parts [][]byte) []T {
+// bytesToSlice reassembles member j's received raw parts into a fresh []T.
+// The parts must hold a whole number of elements: the checksum already
+// passed, so a ragged payload is a protocol bug, and copying it into a
+// backing sized by whole elements would write past its end. It panics with
+// the collective (op) and member named.
+func bytesToSlice[T any](op string, j int, parts [][]byte) []T {
 	es := int(elemSize[T]())
 	total := 0
 	for _, p := range parts {
@@ -54,6 +61,9 @@ func bytesToSlice[T any](parts [][]byte) []T {
 	}
 	if es == 0 || total == 0 {
 		return nil
+	}
+	if total%es != 0 {
+		panic(fmt.Sprintf("comm: %s: member %d posted %d bytes, not a whole number of %d-byte elements", op, j, total, es))
 	}
 	out := make([]T, total/es)
 	dst := unsafe.Slice((*byte)(unsafe.Pointer(&out[0])), total)
@@ -65,33 +75,42 @@ func bytesToSlice[T any](parts [][]byte) []T {
 	return out
 }
 
-// slotSlice reads member j's posted single-buffer payload: a direct type
-// assertion for local members, a byte decode for remote ones. Returns nil
-// when nothing was posted (withheld, dead, or synthesized-dead slots).
-func slotSlice[T any](c *Comm, j int) []T {
+// slotSlice reads member j's posted single-buffer payload for collective op:
+// a direct type assertion for local members, a byte decode for remote ones.
+// Returns nil when nothing was posted (withheld, dead, or synthesized-dead
+// slots).
+func slotSlice[T any](c *Comm, op string, j int) []T {
 	p := c.sh.slots[j].payload
 	if p == nil {
 		return nil
 	}
 	if rp, ok := p.(remoteParts); ok {
-		return bytesToSlice[T](rp.parts)
+		return bytesToSlice[T](op, j, rp.parts)
 	}
 	return p.([]T)
 }
 
-// slotPart reads buffer i of member j's posted per-destination buffer list.
-func slotPart[T any](c *Comm, j, i int) []T {
+// slotPart reads buffer i of member j's posted per-destination buffer list
+// for collective op. A posting without buffer i is a protocol bug — the
+// caller's message would vanish — so it panics with the collective and
+// member named.
+func slotPart[T any](c *Comm, op string, j, i int) []T {
 	p := c.sh.slots[j].payload
 	if p == nil {
 		return nil
 	}
+	var n int
 	if rp, ok := p.(remoteParts); ok {
-		if i >= len(rp.parts) {
-			return nil
+		if n = len(rp.parts); i < n {
+			return bytesToSlice[T](op, j, rp.parts[i:i+1])
 		}
-		return bytesToSlice[T](rp.parts[i : i+1])
+	} else {
+		bufs := p.([][]T)
+		if n = len(bufs); i < n {
+			return bufs[i]
+		}
 	}
-	return p.([][]T)[i]
+	panic(fmt.Sprintf("comm: %s: member %d posted %d buffers, want buffer %d", op, j, n, i))
 }
 
 // controlParts builds the wire parts for a control payload (nil on the
@@ -220,7 +239,7 @@ func Alltoallv[T any](c *Comm, send [][]T) ([][]T, error) {
 	if err == nil {
 		recv = make([][]T, k)
 		for j := 0; j < k; j++ {
-			if mine := slotPart[T](c, j, c.me); len(mine) > 0 {
+			if mine := slotPart[T](c, "alltoallv", j, c.me); len(mine) > 0 {
 				recv[j] = append([]T(nil), mine...)
 			}
 		}
@@ -269,7 +288,7 @@ func Allgatherv[T any](c *Comm, send []T) ([][]T, error) {
 	if err == nil {
 		out = make([][]T, k)
 		for j := 0; j < k; j++ {
-			if posted := slotSlice[T](c, j); len(posted) > 0 {
+			if posted := slotSlice[T](c, "allgatherv", j); len(posted) > 0 {
 				out[j] = append([]T(nil), posted...)
 			}
 		}
@@ -310,7 +329,7 @@ func AllgathervUniform[T any](c *Comm, send []T, dst []T) error {
 	err := c.verify(KindAllgather, nil)
 	if err == nil {
 		for j := 0; j < k; j++ {
-			posted := slotSlice[T](c, j)
+			posted := slotSlice[T](c, "allgatherv_uniform", j)
 			if len(posted) != n {
 				panic("comm: AllgathervUniform contribution length mismatch")
 			}
@@ -347,7 +366,7 @@ func ReduceScatterOr(c *Comm, words []uint64) ([]uint64, error) {
 	if err == nil {
 		seg = make([]uint64, hi-lo)
 		for j := 0; j < k; j++ {
-			other := slotSlice[uint64](c, j)
+			other := slotSlice[uint64](c, "reduce_scatter_or", j)
 			for i := range seg {
 				seg[i] |= other[lo+i]
 			}
@@ -435,7 +454,7 @@ func AllreduceMaxInt64(c *Comm, vals []int64) error {
 			if j == c.me {
 				continue
 			}
-			other := slotSlice[int64](c, j)
+			other := slotSlice[int64](c, "allreduce_max", j)
 			for i := range seg {
 				if other[lo+i] > seg[i] {
 					seg[i] = other[lo+i]
@@ -492,7 +511,7 @@ func AllreduceSumInt64s(c *Comm, vals []int64) ([]int64, error) {
 	if err == nil {
 		sums = make([]int64, len(vals))
 		for j := 0; j < c.Size(); j++ {
-			other := slotSlice[int64](c, j)
+			other := slotSlice[int64](c, "allreduce_sum", j)
 			for i := range sums {
 				sums[i] += other[i]
 			}
@@ -519,7 +538,7 @@ func ControlSumInt64(c *Comm, v int64) int64 {
 	c.rendezvous(seq, nil)
 	var sum int64
 	for j := 0; j < c.Size(); j++ {
-		if s := slotSlice[int64](c, j); len(s) > 0 {
+		if s := slotSlice[int64](c, "control_sum", j); len(s) > 0 {
 			sum += s[0]
 		}
 	}
@@ -545,7 +564,7 @@ func ControlOrWords(c *Comm, words []uint64) []uint64 {
 	c.rendezvous(seq, nil)
 	out := make([]uint64, len(words))
 	for j := 0; j < c.Size(); j++ {
-		other := slotSlice[uint64](c, j)
+		other := slotSlice[uint64](c, "control_or", j)
 		if other == nil {
 			if c.sh.slots[j].dead {
 				markDeadRank(out, c.sh.members[j])
@@ -577,7 +596,7 @@ func ControlGatherSlices[T any](c *Comm, send []T) [][]T {
 	c.rendezvous(seq, nil)
 	out := make([][]T, c.Size())
 	for j := range out {
-		out[j] = slotSlice[T](c, j)
+		out[j] = slotSlice[T](c, "control_gather", j)
 	}
 	c.complete(seq)
 	return out
@@ -603,7 +622,7 @@ func Bcast[T any](c *Comm, v T, root int) (T, error) {
 	err := c.verify(KindAllgather, []int{root})
 	var out T
 	if err == nil {
-		out = slotSlice[T](c, root)[0]
+		out = slotSlice[T](c, "bcast", root)[0]
 	}
 	c.complete(seq)
 	c.traceExit("bcast", tok, err)
@@ -635,7 +654,7 @@ func AllreduceSumFloat64(c *Comm, vals []float64) error {
 	if err == nil {
 		seg = make([]float64, hi-lo)
 		for j := 0; j < k; j++ {
-			other := slotSlice[float64](c, j)
+			other := slotSlice[float64](c, "allreduce_sum_f64", j)
 			for i := range seg {
 				seg[i] += other[lo+i]
 			}
@@ -680,7 +699,7 @@ func AllreduceSumInt64Vec(c *Comm, vals []int64) error {
 	if err == nil {
 		seg = make([]int64, hi-lo)
 		for j := 0; j < k; j++ {
-			other := slotSlice[int64](c, j)
+			other := slotSlice[int64](c, "allreduce_sum_vec", j)
 			for i := range seg {
 				seg[i] += other[lo+i]
 			}

@@ -95,10 +95,10 @@ type arrival struct {
 type Group struct {
 	ep *wire.Endpoint
 
-	mu         sync.Mutex
-	arrivals   map[arrKey]*arrival
-	marks      map[wmKey]uint64
-	deadProcs  map[int]bool
+	mu        sync.Mutex
+	arrivals  map[arrKey]*arrival
+	marks     map[wmKey]uint64
+	deadProcs map[int]bool
 	// departed records, per (epoch, run generation), the processes whose
 	// epoch-outcome announcement has arrived. An outcome frame doubles as an
 	// epoch revoke: its sender has left that epoch's collective schedule for
@@ -470,6 +470,9 @@ func decodeContribution(f *wire.Frame) (*contribution, error) {
 	}
 	nparts := int(binary.LittleEndian.Uint32(b[16:20]))
 	if nparts == 0 {
+		if len(b) != 20 {
+			return nil, fmt.Errorf("comm: contribution envelope has %d trailing bytes", len(b)-20)
+		}
 		return ctr, nil
 	}
 	off := 20 + 4*nparts

@@ -156,15 +156,11 @@ func TestDistCollectivesAgreeWithClosedForms(t *testing.T) {
 			if csum != cwant {
 				t.Errorf("procs=%d rank %d: col sum %d, want %d", procs, r.ID, csum, cwant)
 			}
-			// Sparse exchange: rank j addresses one update to every member.
-			ups := make([]SparseUpdate, n)
-			for j := range ups {
-				ups[j] = SparseUpdate{Dst: int32(j), Tag: 1, Off: int64(r.ID), Val: int64(r.ID * 100)}
-			}
-			got := Must(AllgatherSparse(r.World, ups))
-			for j := range got {
-				if len(got[j]) != 1 || got[j][0].Val != int64(j*100) || got[j][0].Off != int64(j) {
-					t.Errorf("procs=%d rank %d: sparse[%d] = %v", procs, r.ID, j, got[j])
+			// Sparse exchange: element for element what Alltoallv returns, on
+			// the world and on the split row and column communicators.
+			for _, c := range []*Comm{r.World, r.RowC, r.ColC} {
+				if err := checkSparseMatchesAlltoallv(c, r.ID); err != nil {
+					t.Errorf("procs=%d %s: %v", procs, c.scope, err)
 				}
 			}
 			// Control plane.

@@ -79,9 +79,9 @@ var collectiveOps = []struct {
 		return AllreduceSumInt64Vec(r.World, make([]int64, r.World.Size()))
 	}},
 	{"allgathersparse", func(r *Rank) error {
-		_, err := AllgatherSparse(r.World, []SparseUpdate{
-			{Dst: int32(r.World.Size() - 1), Tag: 1, Off: int64(r.ID), Val: 7},
-		})
+		send := make([][]int64, r.World.Size())
+		send[r.World.Size()-1] = []int64{int64(r.ID), 7}
+		_, err := AllgatherSparse(r.World, send)
 		return err
 	}},
 	{"bcast", func(r *Rank) error {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/rmat"
+	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/validate"
 )
@@ -43,10 +44,40 @@ func distinctConnectedRoots(eng *Engine, k int) []int64 {
 	return roots
 }
 
-// TestBatchVsSoloDifferential is the batch oracle: across 18 seeded cases
+// mixedExchangeIters counts, per remote push component, the batch iterations
+// in which one live query plane rode the sparse allgather while another rode
+// the dense alltoallv — the one schedule where both collectives run side by
+// side for the same component, each carrying query marker runs. Query traces
+// are aligned by iteration: every query is live from iteration 0 until it
+// converges.
+func mixedExchangeIters(b *BatchResult) [partition.NumComponents]int {
+	var mixed [partition.NumComponents]int
+	for it := 0; it < b.Iterations; it++ {
+		for _, c := range []partition.Component{partition.CompH2L, partition.CompL2H, partition.CompL2L} {
+			var sparse, dense bool
+			for _, q := range b.Queries {
+				if it >= len(q.Trace) || q.Trace[it].Directions[c] != stats.DirPush {
+					continue
+				}
+				if q.Trace[it].Sparse[c] {
+					sparse = true
+				} else {
+					dense = true
+				}
+			}
+			if sparse && dense {
+				mixed[c]++
+			}
+		}
+	}
+	return mixed
+}
+
+// TestBatchVsSoloDifferential is the batch oracle: across 20 seeded cases
 // spanning both generators plus tail-heavy meshes, all direction modes,
-// sparse modes, hierarchical forwarding and (for a third of the corpus) an
-// active fault plan, a batch of K roots must produce per query exactly the
+// sparse modes (including batches mixing sparse and dense planes),
+// hierarchical forwarding and (for a third of the corpus) an active fault
+// plan, a batch of K roots must produce per query exactly the
 // parent array of K independent single-root runs (batches of one) —
 // bit-for-bit — plus matching iteration counts, matching levels, and Graph
 // 500 validation.
@@ -59,7 +90,7 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 	sparses := []SparseMode{SparseAuto, SparseOff, SparseAlways}
 	scales := []int{8, 9, 10}
 
-	const cases = 18
+	const cases = 20
 	for i := 0; i < cases; i++ {
 		i := i
 		mesh := meshes[i%len(meshes)]
@@ -68,6 +99,20 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 		hier := i%6 == 5
 		segmented := i%7 == 2
 		faulty := i%3 == 0 // ≥1/3 of the corpus under a fault plan
+		// The last two cases push under SparseAuto with the sparse cutoff
+		// below the spread of their queries' frontier sizes, so in one
+		// iteration some planes go sparse while others stay dense on the same
+		// component: H2L on the grid, L2H and L2L on the comb.
+		var mixedOn []partition.Component
+		switch i {
+		case cases - 2:
+			mixedOn = []partition.Component{partition.CompH2L}
+		case cases - 1:
+			mixedOn = []partition.Component{partition.CompL2H, partition.CompL2L}
+		}
+		if mixedOn != nil {
+			dir, sparse = ModePushOnly, SparseAuto
+		}
 		seed := uint64(7000 + i)
 
 		var n int64
@@ -102,6 +147,9 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 		if faulty {
 			name += "_faults"
 		}
+		if mixedOn != nil {
+			name += "_mixed"
+		}
 		t.Run(name, func(t *testing.T) {
 			if testing.Short() && i%3 != 0 {
 				t.Skip("subset in -short mode")
@@ -117,6 +165,9 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 			}
 			if gen == "comb" || gen == "grid" {
 				opt.Thresholds = partition.Thresholds{E: 64, H: 3}
+			}
+			if mixedOn != nil {
+				opt.SparseCutoff = 6
 			}
 			if faulty {
 				plan := faultinject.New(seed)
@@ -149,6 +200,12 @@ func TestBatchVsSoloDifferential(t *testing.T) {
 			}
 			if got, want := len(batch.Queries), len(roots); got != want {
 				t.Fatalf("batch returned %d queries, want %d", got, want)
+			}
+			mixedIters := mixedExchangeIters(batch)
+			for _, c := range mixedOn {
+				if mixedIters[c] == 0 {
+					t.Fatalf("no iteration mixed sparse and dense planes on %v", c)
+				}
 			}
 			if batch.AvgOccupancy < 1 || batch.AvgOccupancy > float64(len(roots)) {
 				t.Fatalf("occupancy %v out of [1,%d]", batch.AvgOccupancy, len(roots))

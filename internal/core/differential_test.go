@@ -150,11 +150,12 @@ func TestDifferentialEngineVsBaseline(t *testing.T) {
 //
 // The graphs below are deliberately tail-heavy: long paths, narrow grids,
 // combs and stringy trees whose frontiers stay tiny for most of the
-// traversal, so well over 70% of iterations qualify for the sparse-update
-// exchange. Each case runs the adaptive sparse engine against a forced-dense
-// run of the same partition and demands bit-exact parent arrays — the
-// substitution contract of AllgatherSparse — plus the usual baseline level
-// comparison and Graph 500 validation. A third of the corpus repeats the
+// traversal, so well over 70% of iterations qualify for the sparse
+// allgather. Each case runs the adaptive sparse engine against a
+// forced-dense run of the same partition and demands bit-exact parent
+// arrays — both collectives carry the same typed messages in the same
+// per-source order, so the choice between them must not move a parent —
+// plus the usual baseline level comparison and Graph 500 validation. A third of the corpus repeats the
 // sparse run under a seeded fault plan.
 
 // gridEdges builds a rows x cols 2D grid graph: diameter rows+cols-2, frontier

@@ -57,7 +57,7 @@ func (st *rankState) chooseDirections(it *IterTrace) {
 }
 
 // pickSparse chooses, per remote push component, between the dense
-// per-destination exchange and the sparse-update allgather. Only pushing
+// per-destination exchange and the sparse allgather. Only pushing
 // remote components are eligible (pull kernels exchange frontiers, not
 // messages), and hierarchical L2L always stays dense — two-stage forwarding
 // is that mode's point, and its forwarder-ordered applies differ from a flat

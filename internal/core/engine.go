@@ -39,9 +39,10 @@ const (
 	ModePullOnly
 )
 
-// SparseMode selects whether tail iterations ship destination-addressed
-// sparse update triples (comm.AllgatherSparse) instead of dense
-// per-destination alltoallv buffers for the remote push components.
+// SparseMode selects whether tail iterations ship the remote push
+// components' per-destination buffers through the sparse allgather
+// (comm.AllgatherSparse) instead of the dense alltoallv. Both carry the same
+// typed messages; only the collective differs.
 type SparseMode int
 
 // Sparse-tail modes.
@@ -100,12 +101,12 @@ type Options struct {
 	// unvisited destination is far cheaper than a per-edge message, and
 	// early exit truncates most scans.
 	PullRatio float64
-	// SparseTail selects the sparse-update tail path for the remote push
+	// SparseTail selects the sparse tail path for the remote push
 	// components (H2L, L2H, and non-hierarchical L2L): tiny tail frontiers
-	// ship (dst, tag, offset, value) triples over one allgather instead of a
-	// dense per-destination alltoallv, and when both row-exchange components
-	// (H2L and L2H) go sparse in the same iteration their payloads batch into
-	// a single exchange. Hierarchical L2L always stays dense: its two-stage
+	// post their per-destination message buffers once over an allgather
+	// instead of a dense personalized alltoallv, and when both row-exchange
+	// components (H2L and L2H) go sparse in the same iteration their buffer
+	// lists batch into a single contribution. Hierarchical L2L always stays dense: its two-stage
 	// forwarding is the point of that mode and its apply order differs from a
 	// flat exchange. The zero value is SparseAuto (adaptive, on).
 	SparseTail SparseMode
@@ -448,8 +449,8 @@ type Result struct {
 type IterTrace struct {
 	ActiveE, ActiveH, ActiveL int64
 	Directions                [partition.NumComponents]stats.Direction
-	// Sparse marks the remote push components whose exchange shipped sparse
-	// update triples (comm.AllgatherSparse) instead of dense buffers this
+	// Sparse marks the remote push components whose messages rode the sparse
+	// allgather (comm.AllgatherSparse) instead of the dense alltoallv this
 	// iteration; always false for components that pulled or skipped.
 	Sparse [partition.NumComponents]bool
 }

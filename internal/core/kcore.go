@@ -14,7 +14,7 @@ import (
 // replicated partial (hubDec) that the epilogue sum-reduces column-then-row
 // (the two-stage sum over the mesh equals the world sum — delegation for
 // additive state), while L-targeted decrements travel as owner-directed
-// messages (dense alltoallv, or sparse triples on small peel rounds).
+// messages (dense alltoallv, or the sparse allgather on small peel rounds).
 //
 // L2H never exchanges: a hub decrement from an owned L vertex lands in the
 // local hubDec partial, so the workload's row batch stays off (rowBatch=false
@@ -233,50 +233,27 @@ func (st *kcoreState) e2lDec() (int64, error) {
 }
 
 // h2lDec: peeled H hubs in this rank's column block send decrements to their
-// L neighbors' owners along the row (lMsg reuses Parent as the decrement).
+// L neighbors' owners along the row.
 func (st *kcoreState) h2lDec() (int64, error) {
 	csr := &st.rg.HToL
+	send := make([][]rowMsg, st.e.Opt.Mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompH2L] {
-		var ups []comm.SparseUpdate
-		for i, hub := range csr.IDs {
-			if !st.hubPeel.Test(int(hub)) {
-				continue
-			}
-			for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(rem.Col),
-					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: 1})
-			}
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for _, u := range us {
-				st.lDec[u.Off] += u.Val
-			}
-		}
-		return edges, nil
-	}
-	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
 	for i, hub := range csr.IDs {
 		if !st.hubPeel.Test(int(hub)) {
 			continue
 		}
 		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
 			edges++
-			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: 1})
+			send[rem.Col] = append(send[rem.Col], rowMsg{Idx: rem.LIdx, Val: 1})
 		}
 	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
+	recv, err := exchange(&st.driver, st.r.RowC, partition.CompH2L, send)
 	if err != nil {
 		return edges, err
 	}
 	for _, part := range recv {
 		for _, m := range part {
-			st.lDec[m.LIdx] += m.Parent
+			st.lDec[m.Idx] += m.Val
 		}
 	}
 	return edges, nil
@@ -311,39 +288,19 @@ func (st *kcoreState) l2hDec() (int64, error) {
 }
 
 // l2lDec: peeled owned L vertices send decrements to their L neighbors'
-// owners; one world alltoallv, or sparse triples on small peel rounds.
+// owners over the world.
 func (st *kcoreState) l2lDec() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
-	var edges int64
-	if st.sparse[partition.CompL2L] {
-		var ups []comm.SparseUpdate
-		st.lPeel.ForEach(func(li int) {
-			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(layout.Owner(dst)),
-					Tag: int32(partition.CompL2L), Off: dst, Val: 1})
-			}
-		})
-		out, err := comm.AllgatherSparse(st.r.World, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for _, u := range us {
-				st.lDec[layout.LocalIdx(u.Off)] += u.Val
-			}
-		}
-		return edges, nil
-	}
 	send := make([][]l2lMsg, layout.P)
+	var edges int64
 	st.lPeel.ForEach(func(li int) {
 		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
 			edges++
 			send[layout.Owner(dst)] = append(send[layout.Owner(dst)], l2lMsg{Dst: dst, Parent: 1})
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.World, send)
+	recv, err := exchange(&st.driver, st.r.World, partition.CompL2L, send)
 	if err != nil {
 		return edges, err
 	}

@@ -8,16 +8,14 @@ import (
 
 // Message types. All parents travel as original vertex IDs.
 
-// lMsg targets an L vertex at a known rank by local index.
-type lMsg struct {
-	LIdx   int32
-	Parent int64
-}
-
-// hubMsg targets a hub delegate.
-type hubMsg struct {
-	Hub    int32
-	Parent int64
+// rowMsg is a row-exchange message: H2L's targets an L vertex at a known
+// rank by local index, L2H's a hub delegate by hub id. One type for both lets
+// the batched H2L+L2H row exchange post the two kernels' buffer lists as one
+// contribution. Val is the payload: a parent for BFS, a label for WCC, a
+// decrement for k-core.
+type rowMsg struct {
+	Idx int32
+	Val int64
 }
 
 // l2lMsg targets an L vertex by original ID (owner derived from layout).
@@ -71,21 +69,21 @@ func (st *rankState) ehPush() (int64, error) {
 	chunks := edgeCutChunks(prefix, workers)
 	// Workers emit candidates into private buffers; the apply step is
 	// serial, mirroring the atomics-free discipline of the chip kernels.
-	bufs := make([][]hubMsg, len(chunks))
+	bufs := make([][]rowMsg, len(chunks))
 	edgesPer := make([]int64, len(chunks))
 	var wg sync.WaitGroup
 	for w, ch := range chunks {
 		wg.Add(1)
 		go func(w int, lo, hi int) {
 			defer wg.Done()
-			var buf []hubMsg
+			var buf []rowMsg
 			var edges int64
 			for _, i := range active[lo:hi] {
 				parent := orig[push.IDs[i]]
 				for _, dst := range push.Adj[push.Ptr[i]:push.Ptr[i+1]] {
 					edges++
 					if !st.hubVisited.Test(int(dst)) {
-						buf = append(buf, hubMsg{Hub: dst, Parent: parent})
+						buf = append(buf, rowMsg{Idx: dst, Val: parent})
 					}
 				}
 			}
@@ -98,9 +96,9 @@ func (st *rankState) ehPush() (int64, error) {
 	for w := range bufs {
 		edges += edgesPer[w]
 		for _, m := range bufs[w] {
-			if !st.hubVisited.Test(int(m.Hub)) && !st.hubNew.Test(int(m.Hub)) {
-				st.hubNew.Set(int(m.Hub))
-				st.parentHub[m.Hub] = m.Parent
+			if !st.hubVisited.Test(int(m.Idx)) && !st.hubNew.Test(int(m.Idx)) {
+				st.hubNew.Set(int(m.Idx))
+				st.parentHub[m.Idx] = m.Val
 			}
 		}
 	}
@@ -307,7 +305,7 @@ func (st *rankState) h2lPull() (int64, error) {
 // update (paper Section 4.4, third OCS-RMA use case): messages are coarse-
 // sorted into word-aligned index ranges, and each range is applied by
 // exactly one worker — no atomics, no racing bitmap words.
-func (st *rankState) applyLMsgs(recv [][]lMsg) {
+func (st *rankState) applyLMsgs(recv [][]rowMsg) {
 	total := 0
 	for _, part := range recv {
 		total += len(part)
@@ -324,17 +322,17 @@ func (st *rankState) applyLMsgs(recv [][]lMsg) {
 	}
 }
 
-func (st *rankState) applyOneL(m lMsg) {
-	if !st.lVisited.Test(int(m.LIdx)) && !st.lNew.Test(int(m.LIdx)) {
-		st.lNew.Set(int(m.LIdx))
-		st.parentL[m.LIdx] = m.Parent
+func (st *rankState) applyOneL(m rowMsg) {
+	if !st.lVisited.Test(int(m.Idx)) && !st.lNew.Test(int(m.Idx)) {
+		st.lNew.Set(int(m.Idx))
+		st.parentL[m.Idx] = m.Val
 	}
 }
 
 // applyLMsgsTwoStage: stage one buckets messages by 64-bit-aligned index
 // range (so two ranges never share a bitmap word); stage two applies each
 // range on its own worker with exclusive ownership.
-func (st *rankState) applyLMsgsTwoStage(recv [][]lMsg, total, workers int) {
+func (st *rankState) applyLMsgsTwoStage(recv [][]rowMsg, total, workers int) {
 	words := (st.rg.LocalN + 63) / 64
 	if words == 0 {
 		return
@@ -344,14 +342,14 @@ func (st *rankState) applyLMsgsTwoStage(recv [][]lMsg, total, workers int) {
 		ranges = words
 	}
 	wordsPer := (words + ranges - 1) / ranges
-	buckets := make([][]lMsg, ranges)
+	buckets := make([][]rowMsg, ranges)
 	per := total/ranges + 1
 	for i := range buckets {
-		buckets[i] = make([]lMsg, 0, per)
+		buckets[i] = make([]rowMsg, 0, per)
 	}
 	for _, part := range recv {
 		for _, m := range part {
-			r := int(m.LIdx) / 64 / wordsPer
+			r := int(m.Idx) / 64 / wordsPer
 			buckets[r] = append(buckets[r], m)
 		}
 	}
@@ -446,12 +444,12 @@ func (st *rankState) l2hGen(emit func(col, hub int32, parent int64)) int64 {
 
 // applyHubMsgs records received delegate activations (the L2H push's receive
 // side), in part order.
-func (st *rankState) applyHubMsgs(parts [][]hubMsg) {
+func (st *rankState) applyHubMsgs(parts [][]rowMsg) {
 	for _, part := range parts {
 		for _, m := range part {
-			if !st.hubVisited.Test(int(m.Hub)) && !st.hubNew.Test(int(m.Hub)) {
-				st.hubNew.Set(int(m.Hub))
-				st.parentHub[m.Hub] = m.Parent
+			if !st.hubVisited.Test(int(m.Idx)) && !st.hubNew.Test(int(m.Idx)) {
+				st.hubNew.Set(int(m.Idx))
+				st.parentHub[m.Idx] = m.Val
 			}
 		}
 	}

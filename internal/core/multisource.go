@@ -48,35 +48,25 @@ const (
 	numLPlanes
 )
 
-// qidTagShift packs (query id, component) into a sparse-update tag: the low
-// bits carry the component (NumComponents = 6 fits in 3 bits), the rest the
-// query id. A batch is capped well below the 2^28 ids an int32 tag can hold.
-const qidTagShift = 3
-
-func qidTag(q int, c partition.Component) int32 {
-	return int32(q)<<qidTagShift | int32(c)
-}
-
 // maxBatchWidth bounds RunBatch's query count; real batches are far smaller
 // (the daemon's admission control sizes them from perfmodel memory math).
 const maxBatchWidth = 1 << 20
 
-// queryMsg is a dense exchange message (kernels.go) that can also open a
-// query run: one batched alltoallv carries every query's payload, each
-// destination's buffer as runs of one query's messages, every run opened by
-// a marker naming its query. A marker costs one message per (destination,
-// query) run instead of a query tag on every message.
+// queryMsg is an exchange message (kernels.go) that can also open a query
+// run: one batched exchange — dense alltoallv or sparse allgather alike —
+// carries every query's payload, each destination's buffer as runs of one
+// query's messages, every run opened by a marker naming its query. A marker
+// costs one message per (destination, query) run instead of a query tag on
+// every message.
 type queryMsg[M any] interface {
 	mark(q int) M            // the marker opening a run of query q
 	query() (q int, ok bool) // the query a marker opens; ok is false for data
 }
 
-// Markers carry the query in Parent and a negative address, which no real
-// L index, hub id or vertex id takes.
-func (lMsg) mark(q int) lMsg        { return lMsg{LIdx: -1, Parent: int64(q)} }
-func (m lMsg) query() (int, bool)   { return int(m.Parent), m.LIdx < 0 }
-func (hubMsg) mark(q int) hubMsg    { return hubMsg{Hub: -1, Parent: int64(q)} }
-func (m hubMsg) query() (int, bool) { return int(m.Parent), m.Hub < 0 }
+// Markers carry the query in the payload field and a negative address,
+// which no real L index, hub id or vertex id takes.
+func (rowMsg) mark(q int) rowMsg    { return rowMsg{Idx: -1, Val: int64(q)} }
+func (m rowMsg) query() (int, bool) { return int(m.Val), m.Idx < 0 }
 func (l2lMsg) mark(q int) l2lMsg    { return l2lMsg{Dst: -1, Parent: int64(q)} }
 func (m l2lMsg) query() (int, bool) { return int(m.Parent), m.Dst < 0 }
 
@@ -421,15 +411,15 @@ func (m *multiState) syncHubsAll() error {
 
 // step1 runs the four hub<->L components. Local kernels run per plane; the
 // remote H2L and L2H pushes generate through the shared gen loops into
-// query-run buffers and ride at most one row alltoallv each, every sparse
-// update of both components rides one row allgather at the L2H flush point,
-// and all pulling planes' frontiers ship in one row gather. Deferring the
-// sparse H2L applies to the flush is safe because the kernels between
-// generation and flush (L2E, L2H) read only lFrontier and the hub bitmaps,
-// never lNew or parentL. Only the L->hub kernels (L2E, L2H) set hubNew here,
-// so the closing hub sync is elided when every plane skipped both. A retry
-// re-enters with a stale pendRow from the failed attempt; the re-executed
-// kernels regenerate every update.
+// query-run buffers — dense planes' into one set, sparse planes' into their
+// own — and the dense sets ride at most one row alltoallv each. Both sparse
+// sets ride one row allgather at the L2H flush point, posted as two lists of
+// one contribution, and all pulling planes' frontiers ship in one row
+// gather. Deferring the sparse H2L applies to the flush is safe because the
+// kernels between generation and flush (L2E, L2H) read only lFrontier and the
+// hub bitmaps, never lNew or parentL. Only the L->hub kernels (L2E, L2H) set
+// hubNew here, so the closing hub sync is elided when every plane skipped
+// both.
 func (m *multiState) step1() error {
 	var firstErr error
 	collect := func(err error) {
@@ -437,7 +427,6 @@ func (m *multiState) step1() error {
 			firstErr = err
 		}
 	}
-	m.pendRow = m.pendRow[:0]
 	cols := m.e.Opt.Mesh.Cols
 
 	m.runLocal(partition.CompE2L, &firstErr, func(p *rankState, dir stats.Direction) (int64, error) {
@@ -448,34 +437,27 @@ func (m *multiState) step1() error {
 	})
 
 	// H2L: gen per plane (H2L pull is rank-local, so it runs inline).
-	h2lSend := newQueryBufs[lMsg](cols)
+	h2lSend, h2lSparse := newQueryBufs[rowMsg](cols), newQueryBufs[rowMsg](cols)
 	for q, p := range m.planes {
 		if m.done[q] {
 			continue
 		}
 		q := q
 		dir := m.its[q].Directions[partition.CompH2L]
-		sparse := m.its[q].Sparse[partition.CompH2L]
-		err := p.runComp(partition.CompH2L, dir, func() (int64, error) {
-			switch {
-			case dir != stats.DirPush:
+		send := h2lSend // the plane's exchange form picks its buffers
+		if m.its[q].Sparse[partition.CompH2L] {
+			send = h2lSparse
+		}
+		collect(p.runComp(partition.CompH2L, dir, func() (int64, error) {
+			if dir != stats.DirPush {
 				return p.h2lPull()
-			case sparse:
-				return p.h2lGen(func(col, li int32, parent int64) {
-					m.pendRow = append(m.pendRow, comm.SparseUpdate{Dst: col,
-						Tag: qidTag(q, partition.CompH2L), Off: int64(li), Val: parent})
-				}), nil
-			default:
-				return p.h2lGen(func(col, li int32, parent int64) {
-					h2lSend.add(int(col), q, lMsg{LIdx: li, Parent: parent})
-				}), nil
 			}
-		})
-		collect(err)
+			return p.h2lGen(func(col, li int32, parent int64) {
+				send.add(int(col), q, rowMsg{Idx: li, Val: parent})
+			}), nil
+		}))
 	}
-	if m.anyLive(func(t *IterTrace) bool {
-		return t.Directions[partition.CompH2L] == stats.DirPush && !t.Sparse[partition.CompH2L]
-	}) {
+	if m.anyDense(partition.CompH2L) {
 		collect(m.observeExchange(partition.CompH2L, stats.DirPush, func() error {
 			recv, err := comm.Alltoallv(m.r.RowC, h2lSend.bufs)
 			if err != nil {
@@ -494,30 +476,23 @@ func (m *multiState) step1() error {
 	})
 
 	// L2H: gen for pushing planes; pulls are deferred past the shared gather.
-	l2hSend := newQueryBufs[hubMsg](cols)
+	l2hSend, l2hSparse := newQueryBufs[rowMsg](cols), newQueryBufs[rowMsg](cols)
 	for q, p := range m.planes {
 		if m.done[q] || m.its[q].Directions[partition.CompL2H] == stats.DirPull {
 			continue
 		}
 		q := q
-		dir := m.its[q].Directions[partition.CompL2H]
-		sparse := m.its[q].Sparse[partition.CompL2H]
-		err := p.runComp(partition.CompL2H, dir, func() (int64, error) {
-			if sparse {
-				return p.l2hGen(func(col, hub int32, parent int64) {
-					m.pendRow = append(m.pendRow, comm.SparseUpdate{Dst: col,
-						Tag: qidTag(q, partition.CompL2H), Off: int64(hub), Val: parent})
-				}), nil
-			}
+		send := l2hSend // the plane's exchange form picks its buffers
+		if m.its[q].Sparse[partition.CompL2H] {
+			send = l2hSparse
+		}
+		collect(p.runComp(partition.CompL2H, m.its[q].Directions[partition.CompL2H], func() (int64, error) {
 			return p.l2hGen(func(col, hub int32, parent int64) {
-				l2hSend.add(int(col), q, hubMsg{Hub: hub, Parent: parent})
+				send.add(int(col), q, rowMsg{Idx: hub, Val: parent})
 			}), nil
-		})
-		collect(err)
+		}))
 	}
-	if m.anyLive(func(t *IterTrace) bool {
-		return t.Directions[partition.CompL2H] == stats.DirPush && !t.Sparse[partition.CompL2H]
-	}) {
+	if m.anyDense(partition.CompL2H) {
 		collect(m.observeExchange(partition.CompL2H, stats.DirPush, func() error {
 			recv, err := comm.Alltoallv(m.r.RowC, l2hSend.bufs)
 			if err != nil {
@@ -549,14 +524,13 @@ func (m *multiState) step1() error {
 	if m.anyLive(func(t *IterTrace) bool {
 		return t.Sparse[partition.CompH2L] || t.Sparse[partition.CompL2H]
 	}) {
-		ups := m.pendRow
-		m.pendRow = m.pendRow[:0]
 		collect(m.observeExchange(partition.CompL2H, stats.DirPush, func() error {
-			out, err := comm.AllgatherSparse(m.r.RowC, ups)
+			out, err := comm.AllgatherSparse(m.r.RowC, append(h2lSparse.bufs, l2hSparse.bufs...))
 			if err != nil {
 				return err
 			}
-			m.applySparseRowPlanes(out)
+			applyByQuery(m, out[:cols], (*rankState).applyLMsgs)
+			applyByQuery(m, out[cols:], (*rankState).applyHubMsgs)
 			return nil
 		}))
 	}
@@ -570,6 +544,14 @@ func (m *multiState) step1() error {
 		}
 	}
 	return firstErr
+}
+
+// anyDense reports whether any live plane pushes c through the dense
+// exchange this iteration.
+func (m *multiState) anyDense(c partition.Component) bool {
+	return m.anyLive(func(t *IterTrace) bool {
+		return t.Directions[c] == stats.DirPush && !t.Sparse[c]
+	})
 }
 
 // pullPlanes lists the live planes whose latched direction for c is pull, in
@@ -586,8 +568,8 @@ func (m *multiState) pullPlanes(c partition.Component) []int {
 
 // step2 runs L2L: pushing planes generate query runs into one flat
 // world alltoallv (or the two-stage hierarchical forward), sparse planes
-// into one world allgather, and pulling planes share one world frontier
-// gather.
+// into their own buffers for one world allgather, and pulling planes share
+// one world frontier gather.
 func (m *multiState) step2() error {
 	var firstErr error
 	collect := func(err error) {
@@ -641,30 +623,23 @@ func (m *multiState) step2() error {
 			}))
 		}
 	} else {
-		send := newQueryBufs[l2lMsg](layout.P)
-		var ups []comm.SparseUpdate
+		send, sparse := newQueryBufs[l2lMsg](layout.P), newQueryBufs[l2lMsg](layout.P)
 		for q, p := range m.planes {
 			if m.done[q] || m.its[q].Directions[partition.CompL2L] == stats.DirPull {
 				continue
 			}
 			q := q
-			dir := m.its[q].Directions[partition.CompL2L]
-			sparse := m.its[q].Sparse[partition.CompL2L]
-			collect(p.runComp(partition.CompL2L, dir, func() (int64, error) {
-				if sparse {
-					return p.l2lGenFlat(func(owner int, dst, parent int64) {
-						ups = append(ups, comm.SparseUpdate{Dst: int32(owner),
-							Tag: qidTag(q, partition.CompL2L), Off: dst, Val: parent})
-					}), nil
-				}
+			bufs := send // the plane's exchange form picks its buffers
+			if m.its[q].Sparse[partition.CompL2L] {
+				bufs = sparse
+			}
+			collect(p.runComp(partition.CompL2L, m.its[q].Directions[partition.CompL2L], func() (int64, error) {
 				return p.l2lGenFlat(func(owner int, dst, parent int64) {
-					send.add(owner, q, l2lMsg{Dst: dst, Parent: parent})
+					bufs.add(owner, q, l2lMsg{Dst: dst, Parent: parent})
 				}), nil
 			}))
 		}
-		if m.anyLive(func(t *IterTrace) bool {
-			return t.Directions[partition.CompL2L] == stats.DirPush && !t.Sparse[partition.CompL2L]
-		}) {
+		if m.anyDense(partition.CompL2L) {
 			collect(m.observeExchange(partition.CompL2L, stats.DirPush, func() error {
 				recv, err := comm.Alltoallv(m.r.World, send.bufs)
 				if err != nil {
@@ -676,11 +651,11 @@ func (m *multiState) step2() error {
 		}
 		if m.anyLive(func(t *IterTrace) bool { return t.Sparse[partition.CompL2L] }) {
 			collect(m.observeExchange(partition.CompL2L, stats.DirPush, func() error {
-				out, err := comm.AllgatherSparse(m.r.World, ups)
+				recv, err := comm.AllgatherSparse(m.r.World, sparse.bufs)
 				if err != nil {
 					return err
 				}
-				m.applySparseL2LPlanes(out)
+				applyByQuery(m, recv, (*rankState).applyL2L)
 				return nil
 			}))
 		}
@@ -896,60 +871,6 @@ func (m *multiState) gatherPlanes(c *comm.Comm, comp partition.Component, qs []i
 		}
 		return nil
 	})
-}
-
-// applySparseRowPlanes applies the combined row flush in the dense
-// schedule's kernel order: per plane, all H2L activations first, then all L2H
-// delegate activations, each member-major with per-member generation order
-// preserved.
-func (m *multiState) applySparseRowPlanes(out [][]comm.SparseUpdate) {
-	members := len(out)
-	lParts := make([][]lMsg, members)
-	hubParts := make([][]hubMsg, members)
-	for q, p := range m.planes {
-		anyL, anyHub := false, false
-		for j, us := range out {
-			lParts[j] = lParts[j][:0]
-			hubParts[j] = hubParts[j][:0]
-			for _, u := range us {
-				if int(u.Tag>>qidTagShift) != q {
-					continue
-				}
-				if partition.Component(u.Tag&(1<<qidTagShift-1)) == partition.CompH2L {
-					lParts[j] = append(lParts[j], lMsg{LIdx: int32(u.Off), Parent: u.Val})
-					anyL = true
-				} else {
-					hubParts[j] = append(hubParts[j], hubMsg{Hub: int32(u.Off), Parent: u.Val})
-					anyHub = true
-				}
-			}
-		}
-		if anyL {
-			p.applyLMsgs(lParts)
-		}
-		if anyHub {
-			p.applyHubMsgs(hubParts)
-		}
-	}
-}
-
-func (m *multiState) applySparseL2LPlanes(out [][]comm.SparseUpdate) {
-	parts := make([][]l2lMsg, len(out))
-	for q, p := range m.planes {
-		any := false
-		for j, us := range out {
-			parts[j] = parts[j][:0]
-			for _, u := range us {
-				if int(u.Tag>>qidTagShift) == q {
-					parts[j] = append(parts[j], l2lMsg{Dst: u.Off, Parent: u.Val})
-					any = true
-				}
-			}
-		}
-		if any {
-			p.applyL2L(parts)
-		}
-	}
 }
 
 // BatchResult is one batched multi-source sweep's output: per-query results

@@ -444,7 +444,7 @@ func TestEngineTornWriteFallsBackOneIteration(t *testing.T) {
 }
 
 // TestKillAtTailIterationRecoversSparse kills a rank deep in the tail of a
-// long-path traversal — where every exchange is riding the sparse-update
+// long-path traversal — where every exchange is riding the sparse
 // allgather — and recovers from checkpoint. The replayed tail must take the
 // sparse path again (lastIterBytes resets to the unknown sentinel on resume,
 // which keeps the tiny frontiers eligible) and the final parent array must be

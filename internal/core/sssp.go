@@ -21,11 +21,6 @@ import (
 // every replica folds to the identical value. When a whole iteration improves
 // nothing, the bucket advances to the smallest bucket holding a dirty vertex;
 // the run converges when nothing improved and nothing is dirty.
-//
-// On the sparse tail each relaxation ships as two adjacent update records
-// (distance bits, then parent) with the same destination/tag/offset; the
-// receiver re-zips pairs in order, so the dense and sparse arms apply the
-// identical relaxation sequence.
 type ssspState struct {
 	driver
 
@@ -53,6 +48,8 @@ type ssspState struct {
 
 	dpBuf          []hubDP // gather buffer for the dist+parent hub sync
 	hubPack, lPack []int64 // checkpoint packing: [Float64bits(dist)..., parent...]
+
+	pendRow [][]distRowMsg // H2L's buffers awaiting the batched row exchange
 
 	snaps [numSteps]ssspSnapshot
 }
@@ -221,7 +218,6 @@ func (st *ssspState) step(g int, it *IterTrace) error {
 			firstErr = err
 		}
 	case 1:
-		st.pendRow = st.pendRow[:0]
 		run(partition.CompE2L, st.e2lRelax)
 		run(partition.CompH2L, st.h2lRelax)
 		run(partition.CompL2E, st.l2eRelax)
@@ -424,45 +420,14 @@ func (st *ssspState) e2lRelax() (int64, error) {
 }
 
 // h2lRelax: in-bucket H hubs in this rank's column block relax their L
-// neighbors across the row. Dense messages carry (LIdx, dist, parent); the
-// sparse arm ships each relaxation as an adjacent record pair.
+// neighbors across the row.
 func (st *ssspState) h2lRelax() (int64, error) {
 	csr := &st.rg.HToL
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	mesh := st.e.Opt.Mesh
+	send := make([][]distRowMsg, mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompH2L] {
-		var ups []comm.SparseUpdate
-		for i, hub := range csr.IDs {
-			if !st.relaxHub.Test(int(hub)) {
-				continue
-			}
-			du := st.hubBaseD[hub]
-			u := orig[hub]
-			for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-				edges++
-				v := layout.GlobalOf(mesh.RankAt(st.r.Row, int(rem.Col)), rem.LIdx)
-				nd := du + sssp.WeightOf(u, v, st.seed)
-				ups = append(ups,
-					comm.SparseUpdate{Dst: int32(rem.Col), Tag: int32(partition.CompH2L),
-						Off: int64(rem.LIdx), Val: int64(math.Float64bits(nd))},
-					comm.SparseUpdate{Dst: int32(rem.Col), Tag: int32(partition.CompH2L),
-						Off: int64(rem.LIdx), Val: u})
-			}
-		}
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, nil
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyLPairs(out)
-		return edges, nil
-	}
-	send := make([][]distLMsg, mesh.Cols)
 	for i, hub := range csr.IDs {
 		if !st.relaxHub.Test(int(hub)) {
 			continue
@@ -473,31 +438,16 @@ func (st *ssspState) h2lRelax() (int64, error) {
 			edges++
 			v := layout.GlobalOf(mesh.RankAt(st.r.Row, int(rem.Col)), rem.LIdx)
 			send[rem.Col] = append(send[rem.Col],
-				distLMsg{LIdx: rem.LIdx, Dist: du + sssp.WeightOf(u, v, st.seed), Parent: u})
+				distRowMsg{Idx: rem.LIdx, Dist: du + sssp.WeightOf(u, v, st.seed), Parent: u})
 		}
 	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerL(m.LIdx, m.Dist, m.Parent)
-		}
-	}
-	return edges, nil
+	return edges, rowExchange(&st.driver, partition.CompH2L, &st.pendRow, send, st.applyLRelax, st.applyHubRelax)
 }
 
-// distLMsg relaxes an L vertex at a known rank by local index.
-type distLMsg struct {
-	LIdx   int32
-	Dist   float64
-	Parent int64
-}
-
-// distHubMsg relaxes a hub delegate.
-type distHubMsg struct {
-	Hub    int32
+// distRowMsg is a row-exchange relaxation: H2L's targets an L vertex at a
+// known rank by local index, L2H's a hub delegate by hub id.
+type distRowMsg struct {
+	Idx    int32
 	Dist   float64
 	Parent int64
 }
@@ -509,21 +459,18 @@ type distWorldMsg struct {
 	Parent int64
 }
 
-// applyLPairs re-zips received (distance, parent) record pairs and applies
-// them to owned L vertices in per-source order.
-func (st *ssspState) applyLPairs(out [][]comm.SparseUpdate) {
-	for _, us := range out {
-		for i := 0; i+1 < len(us); i += 2 {
-			st.lowerL(int32(us[i].Off), math.Float64frombits(uint64(us[i].Val)), us[i+1].Val)
+func (st *ssspState) applyLRelax(parts [][]distRowMsg) {
+	for _, part := range parts {
+		for _, m := range part {
+			st.lowerL(m.Idx, m.Dist, m.Parent)
 		}
 	}
 }
 
-// applyHubPairs is the hub-delegate analogue (Off carries the hub ID).
-func (st *ssspState) applyHubPairs(out [][]comm.SparseUpdate) {
-	for _, us := range out {
-		for i := 0; i+1 < len(us); i += 2 {
-			st.lowerHub(int32(us[i].Off), math.Float64frombits(uint64(us[i].Val)), us[i+1].Val)
+func (st *ssspState) applyHubRelax(parts [][]distRowMsg) {
+	for _, part := range parts {
+		for _, m := range part {
+			st.lowerHub(m.Idx, m.Dist, m.Parent)
 		}
 	}
 }
@@ -547,46 +494,16 @@ func (st *ssspState) l2eRelax() (int64, error) {
 
 // l2hRelax: in-bucket owned L vertices message the row delegate of each H
 // neighbor the relaxation would actually improve (the live check against the
-// replicated distance saves the message and is identical on both exchange
-// arms — nothing between L2E and here touches hub distances).
+// replicated distance saves the message; nothing between L2E and here
+// touches hub distances).
 func (st *ssspState) l2hRelax() (int64, error) {
 	csr := &st.rg.LToH
 	orig := st.e.Part.Hubs.Orig
 	layout := st.e.Part.Layout
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
+	send := make([][]distRowMsg, mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompL2H] {
-		var ups []comm.SparseUpdate
-		st.relaxL.ForEach(func(li int) {
-			du := st.lBaseD[li]
-			u := layout.GlobalOf(st.r.ID, int32(li))
-			for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				nd := du + sssp.WeightOf(u, orig[hub], st.seed)
-				if nd >= st.hubDist[hub] {
-					continue
-				}
-				col := hubs.ColBlockOf(hub, mesh)
-				ups = append(ups,
-					comm.SparseUpdate{Dst: int32(col), Tag: int32(partition.CompL2H),
-						Off: int64(hub), Val: int64(math.Float64bits(nd))},
-					comm.SparseUpdate{Dst: int32(col), Tag: int32(partition.CompL2H),
-						Off: int64(hub), Val: u})
-			}
-		})
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, st.flushRowDists()
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyHubPairs(out)
-		return edges, nil
-	}
-	send := make([][]distHubMsg, mesh.Cols)
 	st.relaxL.ForEach(func(li int) {
 		du := st.lBaseD[li]
 		u := layout.GlobalOf(st.r.ID, int32(li))
@@ -597,84 +514,19 @@ func (st *ssspState) l2hRelax() (int64, error) {
 				continue
 			}
 			col := hubs.ColBlockOf(hub, mesh)
-			send[col] = append(send[col], distHubMsg{Hub: hub, Dist: nd, Parent: u})
+			send[col] = append(send[col], distRowMsg{Idx: hub, Dist: nd, Parent: u})
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	for _, part := range recv {
-		for _, m := range part {
-			st.lowerHub(m.Hub, m.Dist, m.Parent)
-		}
-	}
-	return edges, nil
-}
-
-// flushRowDists runs the batched row exchange carrying both the H2L and L2H
-// relaxation pairs and applies them in the dense schedule's kernel order (all
-// H2L, then all L2H). Pairs keep the tag of their kernel, so the tag split
-// preserves pair adjacency. The buffer clears before the exchange even on
-// error: a retry re-enters at the top of step 1 and regenerates every update.
-func (st *ssspState) flushRowDists() error {
-	ups := st.pendRow
-	st.pendRow = st.pendRow[:0]
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return err
-	}
-	lParts := make([][]comm.SparseUpdate, len(out))
-	hubParts := make([][]comm.SparseUpdate, len(out))
-	for j, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompH2L) {
-				lParts[j] = append(lParts[j], u)
-			} else {
-				hubParts[j] = append(hubParts[j], u)
-			}
-		}
-	}
-	st.applyLPairs(lParts)
-	st.applyHubPairs(hubParts)
-	return nil
+	return edges, rowExchange(&st.driver, partition.CompL2H, &st.pendRow, send, st.applyLRelax, st.applyHubRelax)
 }
 
 // l2lRelax: in-bucket owned L vertices relax their L neighbors at the
-// owners; one world alltoallv, or paired sparse records on tail iterations.
+// owners over the world.
 func (st *ssspState) l2lRelax() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
-	var edges int64
-	if st.sparse[partition.CompL2L] {
-		var ups []comm.SparseUpdate
-		st.relaxL.ForEach(func(li int) {
-			du := st.lBaseD[li]
-			u := layout.GlobalOf(st.r.ID, int32(li))
-			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				nd := du + sssp.WeightOf(u, dst, st.seed)
-				owner := int32(layout.Owner(dst))
-				ups = append(ups,
-					comm.SparseUpdate{Dst: owner, Tag: int32(partition.CompL2L),
-						Off: dst, Val: int64(math.Float64bits(nd))},
-					comm.SparseUpdate{Dst: owner, Tag: int32(partition.CompL2L),
-						Off: dst, Val: u})
-			}
-		})
-		out, err := comm.AllgatherSparse(st.r.World, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for i := 0; i+1 < len(us); i += 2 {
-				st.lowerL(layout.LocalIdx(us[i].Off),
-					math.Float64frombits(uint64(us[i].Val)), us[i+1].Val)
-			}
-		}
-		return edges, nil
-	}
 	send := make([][]distWorldMsg, layout.P)
+	var edges int64
 	st.relaxL.ForEach(func(li int) {
 		du := st.lBaseD[li]
 		u := layout.GlobalOf(st.r.ID, int32(li))
@@ -684,7 +536,7 @@ func (st *ssspState) l2lRelax() (int64, error) {
 				distWorldMsg{Dst: dst, Dist: du + sssp.WeightOf(u, dst, st.seed), Parent: u})
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.World, send)
+	recv, err := exchange(&st.driver, st.r.World, partition.CompL2L, send)
 	if err != nil {
 		return edges, err
 	}

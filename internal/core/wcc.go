@@ -16,9 +16,7 @@ import (
 // arrays; every kernel reads source labels from the base (so the batched row
 // exchange can defer its applies without changing any kernel's input) and
 // lowers live labels; the epilogue diffs live against base to build the next
-// dirty sets and agree on the global change count. Min-folding is
-// order-independent, so the dense and sparse exchange arms produce
-// bit-identical label streams.
+// dirty sets and agree on the global change count.
 type wccState struct {
 	driver
 
@@ -30,6 +28,8 @@ type wccState struct {
 
 	hubDirty, lDirty *bitmap.Bitmap // lowered last iteration: this iteration's sources
 	hubNext, lNext   *bitmap.Bitmap // staged: lowered this iteration
+
+	pendRow [][]rowMsg // H2L's buffers awaiting the batched row exchange
 
 	activeL             int64 // global count of dirty L vertices
 	pendChanged, pendAL int64 // epilogue's agreed counts, committed by endIter
@@ -144,7 +144,6 @@ func (st *wccState) step(g int, it *IterTrace) error {
 			firstErr = err
 		}
 	case 1:
-		st.pendRow = st.pendRow[:0]
 		run(partition.CompE2L, st.e2lProp)
 		run(partition.CompH2L, st.h2lProp)
 		run(partition.CompL2E, st.l2eProp)
@@ -291,36 +290,11 @@ func (st *wccState) e2lProp() (int64, error) {
 }
 
 // h2lProp: dirty H hubs in this rank's column block message their L
-// neighbors' owners along the row; dense alltoallv or sparse triples (lMsg
-// reuses Parent as the label payload).
+// neighbors' owners along the row.
 func (st *wccState) h2lProp() (int64, error) {
 	csr := &st.rg.HToL
+	send := make([][]rowMsg, st.e.Opt.Mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompH2L] {
-		var ups []comm.SparseUpdate
-		for i, hub := range csr.IDs {
-			if !st.hubDirty.Test(int(hub)) {
-				continue
-			}
-			lbl := st.hubBase[hub]
-			for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(rem.Col),
-					Tag: int32(partition.CompH2L), Off: int64(rem.LIdx), Val: lbl})
-			}
-		}
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, nil
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyRowLabels(out)
-		return edges, nil
-	}
-	send := make([][]lMsg, st.e.Opt.Mesh.Cols)
 	for i, hub := range csr.IDs {
 		if !st.hubDirty.Test(int(hub)) {
 			continue
@@ -328,21 +302,16 @@ func (st *wccState) h2lProp() (int64, error) {
 		lbl := st.hubBase[hub]
 		for _, rem := range csr.Adj[csr.Ptr[i]:csr.Ptr[i+1]] {
 			edges++
-			send[rem.Col] = append(send[rem.Col], lMsg{LIdx: rem.LIdx, Parent: lbl})
+			send[rem.Col] = append(send[rem.Col], rowMsg{Idx: rem.LIdx, Val: lbl})
 		}
 	}
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	st.applyLLabels(recv)
-	return edges, nil
+	return edges, rowExchange(&st.driver, partition.CompH2L, &st.pendRow, send, st.applyLLabels, st.applyHubLabels)
 }
 
-func (st *wccState) applyLLabels(parts [][]lMsg) {
+func (st *wccState) applyLLabels(parts [][]rowMsg) {
 	for _, part := range parts {
 		for _, m := range part {
-			st.lowerL(m.LIdx, m.Parent)
+			st.lowerL(m.Idx, m.Val)
 		}
 	}
 }
@@ -363,39 +332,13 @@ func (st *wccState) l2eProp() (int64, error) {
 
 // l2hProp: dirty owned L vertices message the row delegate of each H
 // neighbor whose replicated label is not already as low (delegation knowledge
-// saves the message — the live check is identical on the dense and sparse
-// arms because nothing between L2E and here touches hub labels).
+// saves the message; nothing between L2E and here touches hub labels).
 func (st *wccState) l2hProp() (int64, error) {
 	csr := &st.rg.LToH
 	hubs := st.e.Part.Hubs
 	mesh := st.e.Opt.Mesh
+	send := make([][]rowMsg, mesh.Cols)
 	var edges int64
-	if st.sparse[partition.CompL2H] {
-		var ups []comm.SparseUpdate
-		st.lDirty.ForEach(func(li int) {
-			lbl := st.lBase[li]
-			for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				if lbl >= st.hubLabel[hub] {
-					continue
-				}
-				col := hubs.ColBlockOf(hub, mesh)
-				ups = append(ups, comm.SparseUpdate{Dst: int32(col),
-					Tag: int32(partition.CompL2H), Off: int64(hub), Val: lbl})
-			}
-		})
-		if st.batchRow {
-			st.pendRow = append(st.pendRow, ups...)
-			return edges, st.flushRowLabels()
-		}
-		out, err := comm.AllgatherSparse(st.r.RowC, ups)
-		if err != nil {
-			return edges, err
-		}
-		st.applyRowLabels(out)
-		return edges, nil
-	}
-	send := make([][]hubMsg, mesh.Cols)
 	st.lDirty.ForEach(func(li int) {
 		lbl := st.lBase[li]
 		for _, hub := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
@@ -404,90 +347,27 @@ func (st *wccState) l2hProp() (int64, error) {
 				continue
 			}
 			col := hubs.ColBlockOf(hub, mesh)
-			send[col] = append(send[col], hubMsg{Hub: hub, Parent: lbl})
+			send[col] = append(send[col], rowMsg{Idx: hub, Val: lbl})
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.RowC, send)
-	if err != nil {
-		return edges, err
-	}
-	st.applyHubLabels(recv)
-	return edges, nil
+	return edges, rowExchange(&st.driver, partition.CompL2H, &st.pendRow, send, st.applyLLabels, st.applyHubLabels)
 }
 
-func (st *wccState) applyHubLabels(parts [][]hubMsg) {
+func (st *wccState) applyHubLabels(parts [][]rowMsg) {
 	for _, part := range parts {
 		for _, m := range part {
-			st.lowerHub(m.Hub, m.Parent)
+			st.lowerHub(m.Idx, m.Val)
 		}
 	}
 }
 
-// flushRowLabels runs the batched row exchange carrying both the H2L and L2H
-// label payloads. Deferring the H2L applies is safe because the kernels
-// between generation and flush read only base labels and hub labels, never
-// live L labels. The buffer clears before the exchange even on error: a retry
-// re-enters at the top of step 1 and regenerates every update.
-func (st *wccState) flushRowLabels() error {
-	ups := st.pendRow
-	st.pendRow = st.pendRow[:0]
-	out, err := comm.AllgatherSparse(st.r.RowC, ups)
-	if err != nil {
-		return err
-	}
-	st.applyRowLabels(out)
-	return nil
-}
-
-// applyRowLabels applies a sparse row exchange in the dense schedule's kernel
-// order: all H2L lowers, then all L2H lowers, each member-major with
-// per-member generation order preserved (Off is the L index or the hub id).
-func (st *wccState) applyRowLabels(out [][]comm.SparseUpdate) {
-	for _, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompH2L) {
-				st.lowerL(int32(u.Off), u.Val)
-			}
-		}
-	}
-	for _, us := range out {
-		for _, u := range us {
-			if u.Tag == int32(partition.CompL2H) {
-				st.lowerHub(int32(u.Off), u.Val)
-			}
-		}
-	}
-}
-
-// l2lProp: dirty owned L vertices message their L neighbors' owners; one
-// world alltoallv, or the sparse world allgather on tail iterations (Off
-// carries the original destination ID).
+// l2lProp: dirty owned L vertices message their L neighbors' owners over the
+// world.
 func (st *wccState) l2lProp() (int64, error) {
 	csr := &st.rg.L2L
 	layout := st.e.Part.Layout
-	var edges int64
-	if st.sparse[partition.CompL2L] {
-		var ups []comm.SparseUpdate
-		st.lDirty.ForEach(func(li int) {
-			lbl := st.lBase[li]
-			for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
-				edges++
-				ups = append(ups, comm.SparseUpdate{Dst: int32(layout.Owner(dst)),
-					Tag: int32(partition.CompL2L), Off: dst, Val: lbl})
-			}
-		})
-		out, err := comm.AllgatherSparse(st.r.World, ups)
-		if err != nil {
-			return edges, err
-		}
-		for _, us := range out {
-			for _, u := range us {
-				st.lowerL(layout.LocalIdx(u.Off), u.Val)
-			}
-		}
-		return edges, nil
-	}
 	send := make([][]l2lMsg, layout.P)
+	var edges int64
 	st.lDirty.ForEach(func(li int) {
 		lbl := st.lBase[li]
 		for _, dst := range csr.Adj[csr.Ptr[li]:csr.Ptr[li+1]] {
@@ -495,7 +375,7 @@ func (st *wccState) l2lProp() (int64, error) {
 			send[layout.Owner(dst)] = append(send[layout.Owner(dst)], l2lMsg{Dst: dst, Parent: lbl})
 		}
 	})
-	recv, err := comm.Alltoallv(st.r.World, send)
+	recv, err := exchange(&st.driver, st.r.World, partition.CompL2L, send)
 	if err != nil {
 		return edges, err
 	}

@@ -82,7 +82,7 @@ type ckptSlices struct {
 // driver is the per-rank engine substrate shared by every workload. It is
 // embedded in each workload's rank state (by value; BFS query planes embed a
 // pointer to their batch's driver), so kernels reach its fields (r, rg,
-// sparse, pendRow, ...) via promotion.
+// sparse, batchRow, ...) via promotion.
 type driver struct {
 	e   *Engine
 	r   *comm.Rank
@@ -108,13 +108,11 @@ type driver struct {
 	// bytes, fed back by the epilogue allreduce (-1 = unknown: the first
 	// iteration, and the first after a checkpoint resume — identically on
 	// every rank, which keeps the adaptive choice in lockstep). iterBytesBase
-	// is the recorder's byte total at iteration start; pendRow buffers
-	// batched updates between the H2L and L2H kernels.
+	// is the recorder's byte total at iteration start.
 	sparse        [partition.NumComponents]bool
 	batchRow      bool
 	lastIterBytes int64
 	iterBytesBase int64
-	pendRow       []comm.SparseUpdate
 
 	// resilience bookkeeping (only exercised under a fault transport)
 	retries  int64
@@ -211,6 +209,50 @@ func syncHub(d *driver, name string, n int, reduce func(c *comm.Comm) error) err
 		}
 		return err
 	})
+}
+
+// exchange ships a remote push kernel's per-destination messages over cc
+// through the collective latched for component c: the dense alltoallv, or the
+// sparse allgather on tail iterations. Both take and return the same shape,
+// so a kernel generates and applies its messages once for either form.
+func exchange[T any](d *driver, cc *comm.Comm, c partition.Component, send [][]T) ([][]T, error) {
+	if d.sparse[c] {
+		return comm.AllgatherSparse(cc, send)
+	}
+	return comm.Alltoallv(cc, send)
+}
+
+// rowExchange runs the row exchange of a workload's H2L or L2H push, whose
+// messages share one type T. applyL applies H2L's received messages, applyHub
+// L2H's. Under the batched row exchange (batchRow) H2L's buffers wait in
+// *pend and L2H posts both lists as one sparse contribution, applied in the
+// dense schedule's kernel order: all H2L, then all L2H. Deferring the H2L
+// applies is safe because the kernels in between (L2E, L2H) read only base
+// values and hub state, never what H2L's applies write. A retry re-enters at
+// the top of step 1, where H2L overwrites *pend.
+func rowExchange[T any](d *driver, c partition.Component, pend *[][]T, send [][]T, applyL, applyHub func([][]T)) error {
+	if !d.batchRow {
+		recv, err := exchange(d, d.r.RowC, c, send)
+		if err == nil {
+			if c == partition.CompH2L {
+				applyL(recv)
+			} else {
+				applyHub(recv)
+			}
+		}
+		return err
+	}
+	if c == partition.CompH2L {
+		*pend = send
+		return nil
+	}
+	recv, err := comm.AllgatherSparse(d.r.RowC, append(*pend, send...))
+	*pend = nil
+	if err == nil {
+		applyL(recv[:len(send)])
+		applyHub(recv[len(send):])
+	}
+	return err
 }
 
 // observeCollective times a collective-only phase (no edge touches),

@@ -285,9 +285,9 @@ func TestDifferentialSSSP(t *testing.T) {
 			if err != nil {
 				t.Fatalf("always-sparse RunSSSP: %v", err)
 			}
-			// The substitution contract is bit-exact here too: the sparse arm
-			// applies relaxations in the dense arm's order, so even equal-
-			// distance parent ties must match.
+			// The substitution contract is bit-exact here too: the sparse
+			// exchange applies relaxations in the dense exchange's order, so
+			// even equal-distance parent ties must match.
 			for v := int64(0); v < n; v++ {
 				if dres.Dist[v] != ares.Dist[v] || dres.Parent[v] != ares.Parent[v] {
 					t.Fatalf("sparse substitution: vertex %d dense (%g,%d), sparse (%g,%d)",
